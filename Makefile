@@ -8,7 +8,7 @@ GO ?= go
 # trajectory across PRs diffable.
 PR ?= 10
 
-.PHONY: all build test race vet fuzz matrix failover qoe quickstart bench bench-gate scale cover docs-check
+.PHONY: all build test race vet determinism fuzz matrix failover qoe quickstart bench bench-gate scale cover docs-check
 
 all: vet build test
 
@@ -23,6 +23,15 @@ race:
 
 vet:
 	$(GO) vet ./...
+
+# The parallel-core determinism property (Workers=1 vs Workers=4 runs
+# must be byte-identical, plan/QoE cache counters included) at three
+# host widths: one OS thread, two and four. Five runs each, because a
+# width-dependent counter shows up only in some interleavings; the
+# four-thread pass also runs under the race detector.
+determinism:
+	for p in 1 2 4; do GOMAXPROCS=$$p $(GO) test -run TestParallelCoreDeterminism -count=5 ./internal/scenarios || exit 1; done
+	GOMAXPROCS=4 $(GO) test -race -run TestParallelCoreDeterminism -count=1 ./internal/scenarios
 
 # Short fuzz passes over the BER decoder, the topology parser and the
 # analytic QoE session predictor.

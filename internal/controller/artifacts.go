@@ -13,12 +13,14 @@ package controller
 // (topology gen, demand gen, lie gen — the same triple the standby cache
 // tracks) moves, which bounds memory to one planning epoch.
 //
-// Hit/miss accounting is deterministic under concurrency: a lookup that
-// finds an entry counts a hit immediately, and a computed result counts
-// a miss only if it inserts a new key at store time — when two strategies
-// race to compute the same key, exactly one miss is recorded regardless
-// of interleaving, so the counters are byte-identical across scheduler
-// worker widths and safe to publish in scenario Reports.
+// Every table is a singleflight memo, which makes hit/miss accounting
+// deterministic under concurrency: the first lookup of a key counts the
+// miss and computes it outside the lock, and every other lookup —
+// including one that arrives while that computation is still in flight —
+// counts a hit and waits for the result. Each key is computed exactly
+// once, so the nested lookups a computation makes are counted once too,
+// and the counters are byte-identical across scheduler worker widths and
+// safe to publish in scenario Reports.
 
 import (
 	"slices"
@@ -35,7 +37,7 @@ import (
 
 // ArtifactStats counts PlanArtifacts cache traffic. Hits and Misses are
 // deterministic for a given event sequence (see the package comment on
-// store-time accounting), so they appear in scenario Reports unscrubbed.
+// in-flight accounting), so they appear in scenario Reports unscrubbed.
 type ArtifactStats struct {
 	Hits   uint64 `json:"hits"`
 	Misses uint64 `json:"misses"`
@@ -45,6 +47,68 @@ type ArtifactStats struct {
 	// QoE scoring path amortises, independent of the SPF/load caches.
 	QoEHits   uint64 `json:"qoe_hits"`
 	QoEMisses uint64 `json:"qoe_misses"`
+}
+
+// tally selects the ArtifactStats counter pair a memo charges.
+type tally int
+
+const (
+	planTally tally = iota // Hits/Misses
+	qoeTally               // QoEHits/QoEMisses
+)
+
+// memo is one singleflight table of PlanArtifacts. The zero value is
+// empty and ready to use; the owning PlanArtifacts' mutex guards it.
+type memo[K comparable, V any] struct {
+	m map[K]*memoEntry[V]
+}
+
+type memoEntry[V any] struct {
+	done chan struct{} // closed once v is set
+	v    V
+}
+
+// get returns the value for key, computing it with compute on first use
+// (see the package comment for the accounting rule). compute runs
+// outside the lock and must not look up the same memo.
+func (m *memo[K, V]) get(a *PlanArtifacts, t tally, key K, compute func() V) V {
+	a.mu.Lock()
+	e, hit := m.m[key]
+	if !hit {
+		if m.m == nil {
+			m.m = make(map[K]*memoEntry[V])
+		}
+		e = &memoEntry[V]{done: make(chan struct{})}
+		m.m[key] = e
+	}
+	a.stats.count(t, hit)
+	a.mu.Unlock()
+	if hit {
+		<-e.done
+		return e.v
+	}
+	defer close(e.done)
+	e.v = compute()
+	return e.v
+}
+
+func (s *ArtifactStats) count(t tally, hit bool) {
+	switch {
+	case t == qoeTally && hit:
+		s.QoEHits++
+	case t == qoeTally:
+		s.QoEMisses++
+	case hit:
+		s.Hits++
+	default:
+		s.Misses++
+	}
+}
+
+// graphEntry is the memoised spf.Graph and host-skip of the topology.
+type graphEntry struct {
+	g    *spf.Graph
+	skip func(topo.NodeID) bool
 }
 
 // viewsEntry caches one fibbing.Evaluate outcome (errors included, so a
@@ -98,17 +162,16 @@ type qoePropEntry struct {
 type PlanArtifacts struct {
 	mu    sync.Mutex
 	topo  *topo.Topology
-	graph *spf.Graph
-	skip  func(topo.NodeID) bool
-	trees map[topo.NodeID]*spf.Tree
-	ksp   map[string][][]topo.NodeID
-	views map[string]viewsEntry
-	loads map[string]loadsEntry
-	mmx   map[string]minmaxEntry
-	augs  map[string]augEntry
-	qoe   map[string]qoeEntry
-	cands map[string][][]fibbing.Lie
-	props map[string]qoePropEntry
+	graph memo[struct{}, graphEntry]
+	trees memo[topo.NodeID, *spf.Tree]
+	ksp   memo[string, [][]topo.NodeID]
+	views memo[string, viewsEntry]
+	loads memo[string, loadsEntry]
+	mmx   memo[string, minmaxEntry]
+	augs  memo[string, augEntry]
+	qoe   memo[string, qoeEntry]
+	cands memo[string, [][]fibbing.Lie]
+	props memo[string, qoePropEntry]
 
 	// lp and stats are shared across cache generations (and with the
 	// ephemeral failover artifacts): the warm-start basis must survive a
@@ -125,32 +188,10 @@ func NewPlanArtifacts(t *topo.Topology) *PlanArtifacts {
 }
 
 func newPlanArtifacts(t *topo.Topology, stats *ArtifactStats, lp *te.MinMaxSolver) *PlanArtifacts {
-	if stats == nil {
-		stats = &ArtifactStats{}
-	}
 	if lp == nil {
 		lp = te.NewMinMaxSolver()
 	}
-	return &PlanArtifacts{
-		topo:  t,
-		trees: make(map[topo.NodeID]*spf.Tree),
-		ksp:   make(map[string][][]topo.NodeID),
-		views: make(map[string]viewsEntry),
-		loads: make(map[string]loadsEntry),
-		mmx:   make(map[string]minmaxEntry),
-		augs:  make(map[string]augEntry),
-		qoe:   make(map[string]qoeEntry),
-		cands: make(map[string][][]fibbing.Lie),
-		props: make(map[string]qoePropEntry),
-		lp:    lp,
-		stats: stats,
-	}
-}
-
-// rebind returns a fresh cache for t carrying over the cumulative stats
-// and the warm-LP solver (its structure key decides reusability itself).
-func (a *PlanArtifacts) rebind(t *topo.Topology) *PlanArtifacts {
-	return newPlanArtifacts(t, a.stats, a.lp)
+	return &PlanArtifacts{topo: t, lp: lp, stats: stats}
 }
 
 // Topology returns the topology this cache is bound to.
@@ -169,71 +210,28 @@ func (a *PlanArtifacts) LPStats() te.WarmLPStats { return a.lp.Stats() }
 // Graph returns the memoised spf.Graph and host-skip for the bound
 // topology.
 func (a *PlanArtifacts) Graph() (*spf.Graph, func(topo.NodeID) bool) {
-	a.mu.Lock()
-	if a.graph != nil {
-		a.stats.Hits++
-		g, skip := a.graph, a.skip
-		a.mu.Unlock()
-		return g, skip
-	}
-	a.mu.Unlock()
-	g := spf.FromTopology(a.topo)
-	skip := spf.HostSkip(a.topo)
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if a.graph != nil {
-		a.stats.Hits++
-		return a.graph, a.skip
-	}
-	a.stats.Misses++
-	a.graph, a.skip = g, skip
-	return g, skip
+	e := a.graph.get(a, planTally, struct{}{}, func() graphEntry {
+		return graphEntry{g: spf.FromTopology(a.topo), skip: spf.HostSkip(a.topo)}
+	})
+	return e.g, e.skip
 }
 
 // Tree returns the memoised SPF tree rooted at src.
 func (a *PlanArtifacts) Tree(src topo.NodeID) *spf.Tree {
-	a.mu.Lock()
-	if t, ok := a.trees[src]; ok {
-		a.stats.Hits++
-		a.mu.Unlock()
-		return t
-	}
-	a.mu.Unlock()
-	g, skip := a.Graph()
-	t := spf.Compute(g, src, skip)
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if prev, ok := a.trees[src]; ok {
-		a.stats.Hits++
-		return prev
-	}
-	a.stats.Misses++
-	a.trees[src] = t
-	return t
+	return a.trees.get(a, planTally, src, func() *spf.Tree {
+		g, skip := a.Graph()
+		return spf.Compute(g, src, skip)
+	})
 }
 
 // KShortest returns the memoised Yen k-shortest-path set.
 func (a *PlanArtifacts) KShortest(src, dst topo.NodeID, k, spurLimit int) [][]topo.NodeID {
 	key := strconv.FormatInt(int64(src), 10) + "|" + strconv.FormatInt(int64(dst), 10) +
 		"|" + strconv.Itoa(k) + "|" + strconv.Itoa(spurLimit)
-	a.mu.Lock()
-	if p, ok := a.ksp[key]; ok {
-		a.stats.Hits++
-		a.mu.Unlock()
-		return p
-	}
-	a.mu.Unlock()
-	g, skip := a.Graph()
-	paths := spf.KShortestSpurLimit(g, src, dst, k, spurLimit, skip)
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if prev, ok := a.ksp[key]; ok {
-		a.stats.Hits++
-		return prev
-	}
-	a.stats.Misses++
-	a.ksp[key] = paths
-	return paths
+	return a.ksp.get(a, planTally, key, func() [][]topo.NodeID {
+		g, skip := a.Graph()
+		return spf.KShortestSpurLimit(g, src, dst, k, spurLimit, skip)
+	})
 }
 
 // Views returns the memoised believed-topology compilation for one
@@ -244,24 +242,28 @@ func (a *PlanArtifacts) Views(prefix string, lies []fibbing.Lie) (map[topo.NodeI
 	var sb strings.Builder
 	sb.WriteString(prefix)
 	encodeLies(&sb, lies)
-	key := sb.String()
-	a.mu.Lock()
-	if e, ok := a.views[key]; ok {
-		a.stats.Hits++
-		a.mu.Unlock()
-		return e.views, e.err
+	e := a.views.get(a, planTally, sb.String(), func() viewsEntry {
+		views, err := fibbing.Evaluate(a.topo, prefix, lies)
+		return viewsEntry{views: views, err: err}
+	})
+	return e.views, e.err
+}
+
+// viewsFor collects the memoised views of every demanded prefix under
+// the full lie set, keyed by prefix name.
+func (a *PlanArtifacts) viewsFor(lies map[string][]fibbing.Lie, demands []topo.Demand) (map[string]map[topo.NodeID]fibbing.RouteView, error) {
+	views := make(map[string]map[topo.NodeID]fibbing.RouteView)
+	for _, d := range demands {
+		if _, ok := views[d.PrefixName]; ok {
+			continue
+		}
+		v, err := a.Views(d.PrefixName, lies[d.PrefixName])
+		if err != nil {
+			return nil, err
+		}
+		views[d.PrefixName] = v
 	}
-	a.mu.Unlock()
-	views, err := fibbing.Evaluate(a.topo, prefix, lies)
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if prev, ok := a.views[key]; ok {
-		a.stats.Hits++
-		return prev.views, prev.err
-	}
-	a.stats.Misses++
-	a.views[key] = viewsEntry{views: views, err: err}
-	return views, err
+	return views, nil
 }
 
 // MaxUtil routes demands over the full lie set (all prefixes, merged)
@@ -282,43 +284,17 @@ func (a *PlanArtifacts) Loads(lies map[string][]fibbing.Lie, demands []topo.Dema
 }
 
 func (a *PlanArtifacts) loadsFor(lies map[string][]fibbing.Lie, demands []topo.Demand) loadsEntry {
-	key := loadsKey(lies, demands)
-	a.mu.Lock()
-	if e, ok := a.loads[key]; ok {
-		a.stats.Hits++
-		a.mu.Unlock()
-		return e
-	}
-	a.mu.Unlock()
-	e := a.computeLoads(lies, demands)
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if prev, ok := a.loads[key]; ok {
-		a.stats.Hits++
-		return prev
-	}
-	a.stats.Misses++
-	a.loads[key] = e
-	return e
-}
-
-func (a *PlanArtifacts) computeLoads(lies map[string][]fibbing.Lie, demands []topo.Demand) loadsEntry {
-	views := make(map[string]map[topo.NodeID]fibbing.RouteView)
-	for _, d := range demands {
-		if _, ok := views[d.PrefixName]; ok {
-			continue
-		}
-		v, err := a.Views(d.PrefixName, lies[d.PrefixName])
+	return a.loads.get(a, planTally, loadsKey(lies, demands), func() loadsEntry {
+		views, err := a.viewsFor(lies, demands)
 		if err != nil {
 			return loadsEntry{err: err}
 		}
-		views[d.PrefixName] = v
-	}
-	loads, err := te.LinkLoads(a.topo, views, demands)
-	if err != nil {
-		return loadsEntry{err: err}
-	}
-	return loadsEntry{loads: loads, util: te.MaxUtilOfLoads(a.topo, loads)}
+		loads, err := te.LinkLoads(a.topo, views, demands)
+		if err != nil {
+			return loadsEntry{err: err}
+		}
+		return loadsEntry{loads: loads, util: te.MaxUtilOfLoads(a.topo, loads)}
+	})
 }
 
 // SolveMinMax returns the memoised min-max LP optimum for the demand
@@ -329,24 +305,11 @@ func (a *PlanArtifacts) computeLoads(lies map[string][]fibbing.Lie, demands []to
 func (a *PlanArtifacts) SolveMinMax(demands []topo.Demand) (*te.MinMaxResult, error) {
 	var sb strings.Builder
 	encodeDemands(&sb, demands)
-	key := sb.String()
-	a.mu.Lock()
-	if e, ok := a.mmx[key]; ok {
-		a.stats.Hits++
-		a.mu.Unlock()
-		return e.res, e.err
-	}
-	a.mu.Unlock()
-	res, err := a.lp.Solve(a.topo, demands)
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if prev, ok := a.mmx[key]; ok {
-		a.stats.Hits++
-		return prev.res, prev.err
-	}
-	a.stats.Misses++
-	a.mmx[key] = minmaxEntry{res: res, err: err}
-	return res, err
+	e := a.mmx.get(a, planTally, sb.String(), func() minmaxEntry {
+		res, err := a.lp.Solve(a.topo, demands)
+		return minmaxEntry{res: res, err: err}
+	})
+	return e.res, e.err
 }
 
 // CompileDAG returns the memoised compileDAG outcome for a requirement
@@ -360,63 +323,29 @@ func (a *PlanArtifacts) CompileDAG(prefix string, dag fibbing.DAG) (*fibbing.Aug
 	var sb strings.Builder
 	sb.WriteString(prefix)
 	encodeDAG(&sb, dag)
-	key := sb.String()
-	a.mu.Lock()
-	if e, ok := a.augs[key]; ok {
-		a.stats.Hits++
-		a.mu.Unlock()
-		return e.aug, e.pinned, e.err
-	}
-	a.mu.Unlock()
-	aug, pinned, err := compileDAG(a.topo, prefix, dag)
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if prev, ok := a.augs[key]; ok {
-		a.stats.Hits++
-		return prev.aug, prev.pinned, prev.err
-	}
-	a.stats.Misses++
-	a.augs[key] = augEntry{aug: aug, pinned: pinned, err: err}
-	return aug, pinned, err
+	e := a.augs.get(a, planTally, sb.String(), func() augEntry {
+		aug, pinned, err := compileDAG(a.topo, prefix, dag)
+		return augEntry{aug: aug, pinned: pinned, err: err}
+	})
+	return e.aug, e.pinned, e.err
 }
 
-// PredictQoE maps the full lie set and demand set to the analytic
+// predictQoE maps the full lie set and demand set to the analytic
 // plan-level QoE prediction (qoe.PredictPlan over the memoised per-prefix
-// views), memoised on the (lies, demands, model) value with its own
-// hit/miss counters. Accounting follows the store-time rule, so
-// QoEHits/QoEMisses are byte-identical across scheduler worker widths.
-func (a *PlanArtifacts) PredictQoE(lies map[string][]fibbing.Lie, demands []topo.Demand, model qoe.Model) (qoe.PlanQoE, error) {
-	var sb strings.Builder
-	encodeModel(&sb, model)
-	return a.predictQoEKeyed(sb.String(), lies, demands, model)
-}
-
-// predictQoEKeyed is PredictQoE with the model's key encoding hoisted
-// out: the planner consults the predictor once per candidate overlay
-// under an unchanging model, so newQoEPredictor encodes the model once
-// per planning context instead of once per lookup.
-func (a *PlanArtifacts) predictQoEKeyed(modelKey string, lies map[string][]fibbing.Lie, demands []topo.Demand, model qoe.Model) (qoe.PlanQoE, error) {
-	var sb strings.Builder
-	sb.WriteString(loadsKey(lies, demands))
-	sb.WriteByte('!')
-	sb.WriteString(modelKey)
-	key := sb.String()
-	a.mu.Lock()
-	if e, ok := a.qoe[key]; ok {
-		a.stats.QoEHits++
-		a.mu.Unlock()
-		return e.q, e.err
-	}
-	a.mu.Unlock()
-	e := a.computeQoE(lies, demands, model)
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if prev, ok := a.qoe[key]; ok {
-		a.stats.QoEHits++
-		return prev.q, prev.err
-	}
-	a.stats.QoEMisses++
-	a.qoe[key] = e
+// views), memoised on the (lies, demands, model) value under the QoE
+// counters. modelKey is encodeModel(model), hoisted out because the
+// planner consults the predictor once per candidate overlay under an
+// unchanging model.
+func (a *PlanArtifacts) predictQoE(modelKey string, lies map[string][]fibbing.Lie, demands []topo.Demand, model qoe.Model) (qoe.PlanQoE, error) {
+	key := loadsKey(lies, demands) + "!" + modelKey
+	e := a.qoe.get(a, qoeTally, key, func() qoeEntry {
+		views, err := a.viewsFor(lies, demands)
+		if err != nil {
+			return qoeEntry{err: err}
+		}
+		q, err := qoe.PredictPlan(a.topo, views, demands, model)
+		return qoeEntry{q: q, err: err}
+	})
 	return e.q, e.err
 }
 
@@ -426,70 +355,21 @@ func (a *PlanArtifacts) predictQoEKeyed(modelKey string, lies map[string][]fibbi
 // count — all fixed within one cache generation — while building them
 // costs k DAG constructions plus k compile-memo key encodings per
 // planning round. An alarm train re-planning the same hot link skips all
-// of it. build runs outside the lock; accounting is store-time, like
-// every other table here.
+// of it.
 func (a *PlanArtifacts) QoECandidates(prefix string, hot topo.NodeID, k int, build func() [][]fibbing.Lie) [][]fibbing.Lie {
 	key := prefix + "|" + strconv.FormatInt(int64(hot), 10) + "|" + strconv.Itoa(k)
-	a.mu.Lock()
-	if c, ok := a.cands[key]; ok {
-		a.stats.Hits++
-		a.mu.Unlock()
-		return c
-	}
-	a.mu.Unlock()
-	c := build()
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if prev, ok := a.cands[key]; ok {
-		a.stats.Hits++
-		return prev
-	}
-	a.stats.Misses++
-	a.cands[key] = c
-	return c
+	return a.cands.get(a, planTally, key, build)
 }
 
-// qoeProposal memoises the qoe-greedy strategy's whole greedy descent.
-// The descent is a pure function of the candidate sets (topology-bound,
-// see QoECandidates), the installed lies, the demand set and the viewer
-// model — exactly what the key encodes — so an alarm train re-raising
-// the same hot link replays the chosen overlay (or the abstention) with
-// one lookup instead of a per-candidate predictor sweep. Accounting is
-// store-time, under the QoE counters.
+// qoeProposal memoises the qoe-greedy strategy's whole greedy descent
+// under the QoE counters. The descent is a pure function of the
+// candidate sets (topology-bound, see QoECandidates), the installed
+// lies, the demand set and the viewer model — exactly what the key
+// encodes — so an alarm train re-raising the same hot link replays the
+// chosen overlay (or the abstention) with one lookup instead of a
+// per-candidate predictor sweep.
 func (a *PlanArtifacts) qoeProposal(key string, build func() qoePropEntry) qoePropEntry {
-	a.mu.Lock()
-	if e, ok := a.props[key]; ok {
-		a.stats.QoEHits++
-		a.mu.Unlock()
-		return e
-	}
-	a.mu.Unlock()
-	e := build()
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if prev, ok := a.props[key]; ok {
-		a.stats.QoEHits++
-		return prev
-	}
-	a.stats.QoEMisses++
-	a.props[key] = e
-	return e
-}
-
-func (a *PlanArtifacts) computeQoE(lies map[string][]fibbing.Lie, demands []topo.Demand, model qoe.Model) qoeEntry {
-	views := make(map[string]map[topo.NodeID]fibbing.RouteView)
-	for _, d := range demands {
-		if _, ok := views[d.PrefixName]; ok {
-			continue
-		}
-		v, err := a.Views(d.PrefixName, lies[d.PrefixName])
-		if err != nil {
-			return qoeEntry{err: err}
-		}
-		views[d.PrefixName] = v
-	}
-	q, err := qoe.PredictPlan(a.topo, views, demands, model)
-	return qoeEntry{q: q, err: err}
+	return a.props.get(a, qoeTally, key, build)
 }
 
 // encodeModel appends a value-complete encoding of a qoe.Model: member

@@ -9,7 +9,6 @@ import (
 
 	"fibbing.net/fibbing/internal/fibbing"
 	"fibbing.net/fibbing/internal/monitor"
-	"fibbing.net/fibbing/internal/te"
 	"fibbing.net/fibbing/internal/topo"
 )
 
@@ -306,14 +305,20 @@ func AnalyticPlanContextCached(arts *PlanArtifacts, t *topo.Topology, demands []
 // buildPlanContext is the single assembly point for PlanContexts: the
 // running controller and the analytic what-if path both go through it,
 // so the evaluator wiring and base-utilisation semantics cannot diverge.
-// arts may be nil (everything computes directly) or bound to a different
-// topology (helpers fall back per call).
+// A nil arts, or one bound to a different topology, is replaced by a
+// fresh cache for t, so every context plans through a cache bound to
+// its own topology.
 func buildPlanContext(arts *PlanArtifacts, t *topo.Topology, demands []topo.Demand,
 	installed map[string][]fibbing.Lie, ev Event, r resolved, raisedAlarms int) PlanContext {
 	if installed == nil {
 		installed = map[string][]fibbing.Lie{}
 	}
-	eval := newEvaluator(arts, t, installed, demands)
+	if arts == nil || arts.topo != t {
+		arts = NewPlanArtifacts(t)
+	}
+	eval := func(overlay map[string][]fibbing.Lie) (float64, error) {
+		return arts.MaxUtil(overlaid(installed, overlay), demands)
+	}
 	base := 0.0
 	if len(demands) > 0 {
 		if u, err := eval(nil); err == nil {
@@ -364,37 +369,22 @@ func HottestLinkAlarm(t *topo.Topology, loads map[topo.LinkID]float64) (monitor.
 	return best, found
 }
 
-// newEvaluator builds the PlanContext.Evaluate closure: overlay-aware
-// fluid routing of demands over installed lies. Safe for concurrent use.
-// With an artifact cache bound to t, evaluations are memoised on the
-// merged lie set (per-prefix believed views and whole-set load maps), so
-// repeated evaluations of the same overlay — across strategies or across
-// planner invocations — cost a lookup.
-func newEvaluator(arts *PlanArtifacts, t *topo.Topology, installed map[string][]fibbing.Lie, demands []topo.Demand) func(map[string][]fibbing.Lie) (float64, error) {
-	if arts != nil && arts.topo != t {
-		arts = nil // bound elsewhere; compute directly
+// overlaid merges an overlay onto the installed lies with the
+// PlanContext.Evaluate semantics: a present key replaces that prefix's
+// installed lies (empty clears them), absent prefixes keep theirs.
+func overlaid(installed, overlay map[string][]fibbing.Lie) map[string][]fibbing.Lie {
+	merged := make(map[string][]fibbing.Lie, len(installed)+len(overlay))
+	for prefix, lies := range installed {
+		merged[prefix] = lies
 	}
-	return func(overlay map[string][]fibbing.Lie) (float64, error) {
-		merged := make(map[string][]fibbing.Lie, len(installed)+len(overlay))
-		for prefix, lies := range installed {
-			merged[prefix] = lies
+	for prefix, lies := range overlay {
+		if len(lies) == 0 {
+			delete(merged, prefix)
+			continue
 		}
-		for prefix, lies := range overlay {
-			if len(lies) == 0 {
-				delete(merged, prefix)
-				continue
-			}
-			merged[prefix] = lies
-		}
-		if arts != nil {
-			return arts.MaxUtil(merged, demands)
-		}
-		loads, err := te.LoadsWithLies(t, merged, demands)
-		if err != nil {
-			return 0, err
-		}
-		return te.MaxUtilOfLoads(t, loads), nil
+		merged[prefix] = lies
 	}
+	return merged
 }
 
 func prefixNamesOf(demands []topo.Demand) []string {

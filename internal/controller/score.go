@@ -7,7 +7,6 @@ import (
 
 	"fibbing.net/fibbing/internal/fibbing"
 	"fibbing.net/fibbing/internal/qoe"
-	"fibbing.net/fibbing/internal/topo"
 )
 
 // ScoreMode selects what the planner optimises when scoring admissible
@@ -62,10 +61,17 @@ func ParseScoreMode(s string) (ScoreMode, error) {
 // plan's baseline score the admissibility restatement compares against.
 // Call it after buildPlanContext, before planning; contexts without it
 // plan exactly as before (qoe-greedy abstains, scoring falls back to
-// utilisation terms).
+// utilisation terms). The predictor has Evaluate's overlay semantics
+// and is memoised on the merged lie set; the model's part of the memo
+// key is encoded once here, since it never changes within one context.
 func (ctx PlanContext) WithQoE(model qoe.Model) PlanContext {
-	ctx.QoEModel = model
-	ctx.PredictQoE, ctx.qoeModelKey = newQoEPredictor(ctx.Artifacts, ctx.Topo, ctx.Installed, ctx.Demands, model)
+	var sb strings.Builder
+	encodeModel(&sb, model)
+	modelKey, arts, installed, demands := sb.String(), ctx.Artifacts, ctx.Installed, ctx.Demands
+	ctx.QoEModel, ctx.qoeModelKey = model, modelKey
+	ctx.PredictQoE = func(overlay map[string][]fibbing.Lie) (qoe.PlanQoE, error) {
+		return arts.predictQoE(modelKey, overlaid(installed, overlay), demands, model)
+	}
 	if len(ctx.Demands) == 0 {
 		return ctx
 	}
@@ -75,54 +81,4 @@ func (ctx PlanContext) WithQoE(model qoe.Model) PlanContext {
 		ctx.BaseStall = math.Inf(1)
 	}
 	return ctx
-}
-
-// newQoEPredictor builds the PlanContext.PredictQoE closure: the same
-// overlay semantics as Evaluate (a present key replaces that prefix's
-// installed lies, empty clears them), mapped through the analytic
-// delivery model to a plan-level QoE prediction. Memoised on the merged
-// lie set when an artifact cache is bound to t; the returned modelKey is
-// that cache's encoding of the model (empty without a usable cache).
-func newQoEPredictor(arts *PlanArtifacts, t *topo.Topology, installed map[string][]fibbing.Lie,
-	demands []topo.Demand, model qoe.Model) (func(map[string][]fibbing.Lie) (qoe.PlanQoE, error), string) {
-	if arts != nil && arts.topo != t {
-		arts = nil // bound elsewhere; compute directly
-	}
-	var modelKey string
-	if arts != nil {
-		// The model never changes within one planning context: encode its
-		// part of the memo key once instead of on every candidate lookup.
-		var sb strings.Builder
-		encodeModel(&sb, model)
-		modelKey = sb.String()
-	}
-	predict := func(overlay map[string][]fibbing.Lie) (qoe.PlanQoE, error) {
-		merged := make(map[string][]fibbing.Lie, len(installed)+len(overlay))
-		for prefix, lies := range installed {
-			merged[prefix] = lies
-		}
-		for prefix, lies := range overlay {
-			if len(lies) == 0 {
-				delete(merged, prefix)
-				continue
-			}
-			merged[prefix] = lies
-		}
-		if arts != nil {
-			return arts.predictQoEKeyed(modelKey, merged, demands, model)
-		}
-		views := make(map[string]map[topo.NodeID]fibbing.RouteView)
-		for _, d := range demands {
-			if _, ok := views[d.PrefixName]; ok {
-				continue
-			}
-			v, err := fibbing.Evaluate(t, d.PrefixName, merged[d.PrefixName])
-			if err != nil {
-				return qoe.PlanQoE{}, err
-			}
-			views[d.PrefixName] = v
-		}
-		return qoe.PredictPlan(t, views, demands, model)
-	}
-	return predict, modelKey
 }

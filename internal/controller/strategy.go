@@ -22,10 +22,9 @@ type PlanContext struct {
 	Topo *topo.Topology
 	// Artifacts is the shared memoisation layer for the expensive
 	// planner inputs (SPF trees, k-shortest paths, believed-topology
-	// compilations, LP solves, load estimates). May be nil, or bound to
-	// a different topology than Topo; strategies access it through the
-	// SPFTree/KShortestPaths/PrefixViews/SolveMinMax helpers, which fall
-	// back to direct computation in either case.
+	// compilations, LP solves, load estimates), always bound to Topo;
+	// strategies access it through the SPFTree/KShortestPaths/
+	// PrefixViews/SolveMinMax/CompileDAG helpers.
 	Artifacts *PlanArtifacts
 	// Event is what triggered planning; Event.Alarm carries the hot link
 	// for raise events.
@@ -78,80 +77,46 @@ type PlanContext struct {
 	// qoeModelKey is the memo-key encoding of QoEModel, computed once by
 	// WithQoE so per-candidate and per-proposal cache lookups never
 	// re-encode the (unchanging) viewer model. Empty when PredictQoE is
-	// nil or no artifact cache is bound.
+	// nil.
 	qoeModelKey string
 }
 
-// cachedArts returns the artifact cache when it is usable for this
-// context's topology, nil otherwise (e.g. a failover context whose
-// cache is bound to the reduced topology while a helper is asked about
-// BaseTopo would miss the binding check and compute directly).
-func (ctx *PlanContext) cachedArts() *PlanArtifacts {
-	if ctx.Artifacts != nil && ctx.Artifacts.topo == ctx.Topo {
-		return ctx.Artifacts
-	}
-	return nil
-}
-
-// SPFGraph returns the context topology's SPF graph and host-skip,
-// memoised when an artifact cache is bound.
+// SPFGraph returns the context topology's memoised SPF graph and
+// host-skip.
 func (ctx *PlanContext) SPFGraph() (*spf.Graph, func(topo.NodeID) bool) {
-	if a := ctx.cachedArts(); a != nil {
-		return a.Graph()
-	}
-	return spf.FromTopology(ctx.Topo), spf.HostSkip(ctx.Topo)
+	return ctx.Artifacts.Graph()
 }
 
-// SPFTree returns the shortest-path tree rooted at src, memoised per
-// source when an artifact cache is bound.
+// SPFTree returns the memoised shortest-path tree rooted at src.
 func (ctx *PlanContext) SPFTree(src topo.NodeID) *spf.Tree {
-	if a := ctx.cachedArts(); a != nil {
-		return a.Tree(src)
-	}
-	g, skip := ctx.SPFGraph()
-	return spf.Compute(g, src, skip)
+	return ctx.Artifacts.Tree(src)
 }
 
 // KShortestPaths returns up to k loopless shortest paths src->dst (Yen
-// with the given spur limit), memoised per query when an artifact cache
-// is bound.
+// with the given spur limit), memoised per query.
 func (ctx *PlanContext) KShortestPaths(src, dst topo.NodeID, k, spurLimit int) [][]topo.NodeID {
-	if a := ctx.cachedArts(); a != nil {
-		return a.KShortest(src, dst, k, spurLimit)
-	}
-	g, skip := ctx.SPFGraph()
-	return spf.KShortestSpurLimit(g, src, dst, k, spurLimit, skip)
+	return ctx.Artifacts.KShortest(src, dst, k, spurLimit)
 }
 
-// PrefixViews returns the believed-topology route views for one prefix
-// under the given lie set (nil lies = the plain IGP view), memoised when
-// an artifact cache is bound. The returned map is shared: read-only.
+// PrefixViews returns the memoised believed-topology route views for one
+// prefix under the given lie set (nil lies = the plain IGP view). The
+// returned map is shared: read-only.
 func (ctx *PlanContext) PrefixViews(prefix string, lies []fibbing.Lie) (map[topo.NodeID]fibbing.RouteView, error) {
-	if a := ctx.cachedArts(); a != nil {
-		return a.Views(prefix, lies)
-	}
-	return fibbing.Evaluate(ctx.Topo, prefix, lies)
+	return ctx.Artifacts.Views(prefix, lies)
 }
 
 // SolveMinMax returns the min-max LP optimum for the context's demands,
-// memoised — and warm-started across demand changes — when an artifact
-// cache is bound.
+// memoised and warm-started across demand changes.
 func (ctx *PlanContext) SolveMinMax() (*te.MinMaxResult, error) {
-	if a := ctx.cachedArts(); a != nil {
-		return a.SolveMinMax(ctx.Demands)
-	}
-	return te.SolveMinMax(ctx.Topo, ctx.Demands)
+	return ctx.Artifacts.SolveMinMax(ctx.Demands)
 }
 
 // CompileDAG compiles and verifies a requirement DAG into lies (add-paths
-// first, pin-all + reduction when paths must be removed), memoised when
-// an artifact cache is bound. The returned augmentation is shared with
-// the cache — treat it as read-only.
+// first, pin-all + reduction when paths must be removed), memoised. The
+// returned augmentation is shared with the cache — treat it as
+// read-only.
 func (ctx *PlanContext) CompileDAG(prefix string, dag fibbing.DAG) (*fibbing.Augmentation, bool, error) {
-	if a := ctx.cachedArts(); a != nil {
-		return a.CompileDAG(prefix, dag)
-	}
-	return compileDAG(ctx.Topo, prefix, dag)
+	return ctx.Artifacts.CompileDAG(prefix, dag)
 }
 
 // Plan is one strategy's proposed reaction: typed per-prefix lie sets

@@ -523,13 +523,25 @@ func (n *Network) sample() {
 	}
 }
 
+// aggsByID returns the aggregates in ascending id order, so float sums
+// over them are bit-reproducible (map order is not). Callers hold n.mu.
+func (n *Network) aggsByID() []*Aggregate {
+	aggs := make([]*Aggregate, 0, len(n.aggByID))
+	for _, a := range n.aggByID {
+		aggs = append(aggs, a)
+	}
+	slices.SortFunc(aggs, func(x, y *Aggregate) int { return cmp.Compare(x.id, y.id) })
+	return aggs
+}
+
 // LinkRates returns the instantaneous offered rate (bit/s) per link,
-// summing allocated aggregate rates. Useful for assertions.
+// summing allocated aggregate rates in ascending aggregate id order.
+// Useful for assertions.
 func (n *Network) LinkRates() map[topo.LinkID]float64 {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	out := make(map[topo.LinkID]float64)
-	for _, a := range n.aggByID {
+	for _, a := range n.aggsByID() {
 		if a.rate <= 0 {
 			continue
 		}
@@ -556,12 +568,13 @@ func (n *Network) MaxUtilisation() float64 {
 	return max
 }
 
-// TotalThroughput sums all flows' current rates (bit/s).
+// TotalThroughput sums all flows' current rates (bit/s), in ascending
+// aggregate id order.
 func (n *Network) TotalThroughput() float64 {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	sum := 0.0
-	for _, a := range n.aggByID {
+	for _, a := range n.aggsByID() {
 		sum += a.rate * float64(a.weight)
 	}
 	return sum

@@ -304,3 +304,56 @@ func BenchmarkReshare100Flows(b *testing.B) {
 		net.reshare()
 	}
 }
+
+// TestLinkRatesSumInIDOrder pins LinkRates' summation order: several
+// aggregates whose per-link contributions give different float sums in
+// different orders share one link, and every call must return the sum
+// taken in ascending aggregate id, bit for bit.
+func TestLinkRatesSumInIDOrder(t *testing.T) {
+	tp := lineTopo()
+	sched := event.NewScheduler()
+	net := New(tp, sched, time.Second)
+	installLineTables(t, net, tp)
+	n1 := tp.MustNode("n1")
+	port := uint16(0)
+	// Distinct caps make distinct aggregates on the n1->n2 link; repeated
+	// caps give them weights above one.
+	for _, c := range []struct {
+		cap     float64
+		members int
+	}{{1e6 / 3, 1}, {1e6 / 7, 3}, {1e6 / 11, 2}, {1e6 / 13, 1}} {
+		for range c.members {
+			port++
+			net.AddFlow(n1, key("10.100.0.1", port), c.cap)
+		}
+	}
+	sched.RunUntil(time.Second)
+	l12, _ := tp.FindLink(n1, tp.MustNode("n2"))
+
+	aggs := net.aggsByID()
+	if len(aggs) < 3 {
+		t.Fatalf("%d aggregates, want >= 3", len(aggs))
+	}
+	want := 0.0
+	var terms []float64
+	for _, a := range aggs {
+		if !a.uses(l12.ID) {
+			t.Fatalf("aggregate %d does not cross n1-n2", a.id)
+		}
+		terms = append(terms, a.rate*float64(a.weight))
+		want += terms[len(terms)-1]
+	}
+	// The property is only tested if the order can change the sum.
+	reversed := 0.0
+	for i := len(terms) - 1; i >= 0; i-- {
+		reversed += terms[i]
+	}
+	if reversed == want {
+		t.Fatalf("terms %v sum the same in both orders; the test would not detect map-order sums", terms)
+	}
+	for i := range 200 {
+		if got := net.LinkRates()[l12.ID]; math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("call %d: LinkRates = %v, want id-ordered sum %v", i, got, want)
+		}
+	}
+}

@@ -131,7 +131,7 @@ func TestParallelCoreDeterminism(t *testing.T) {
 	// worker pool must keep in deterministic order.
 	specs = append(specs, FailoverSpecs()...)
 	// The QoE-scored cells ride along too: the stall predictor's memoised
-	// artifacts (QoE hit/miss counters included — store-time accounting,
+	// artifacts (QoE hit/miss counters included — in-flight accounting,
 	// like the plan cache's) and the qoe-greedy candidate sweep must not
 	// introduce worker-width dependence. The 100k-viewer scale cell stays
 	// out; the small cells carry the property.

@@ -99,14 +99,15 @@ type Report struct {
 	Aggregates        int    `json:"aggregates,omitempty"`
 
 	// Planner amortisation telemetry: the PlanContext artifact cache's
-	// hit/miss split (deterministic by store-time accounting, so it is
+	// hit/miss split (deterministic by in-flight accounting — each key is
+	// computed once and concurrent lookups of it count hits — so it is
 	// compared across worker widths) and the warm-started LP solver's
 	// warm/cold/fallback solve counts.
 	PlanCacheHits    uint64 `json:"plan_cache_hits,omitempty"`
 	PlanCacheMisses  uint64 `json:"plan_cache_misses,omitempty"`
 	// QoECacheHits/Misses split the artifact cache's memoised QoE
 	// predictions (populated only when a QoE-aware score mode runs);
-	// store-time accounting keeps them worker-width deterministic too.
+	// in-flight accounting keeps them worker-width deterministic too.
 	QoECacheHits   uint64 `json:"qoe_cache_hits,omitempty"`
 	QoECacheMisses uint64 `json:"qoe_cache_misses,omitempty"`
 	LPWarmSolves     uint64 `json:"lp_warm_solves,omitempty"`
