@@ -33,12 +33,14 @@ determinism:
 	for p in 1 2 4; do GOMAXPROCS=$$p $(GO) test -run TestParallelCoreDeterminism -count=5 ./internal/scenarios || exit 1; done
 	GOMAXPROCS=4 $(GO) test -race -run TestParallelCoreDeterminism -count=1 ./internal/scenarios
 
-# Short fuzz passes over the BER decoder, the topology parser and the
-# analytic QoE session predictor.
+# Short fuzz passes over the BER decoder, the topology parser, the
+# analytic QoE session predictor and the route evaluator (checked against
+# its per-router SPF oracle).
 fuzz:
 	$(GO) test -fuzz='^FuzzDecodeMessage$$' -fuzztime=30s ./internal/snmp
 	$(GO) test -fuzz='^FuzzParse$$' -fuzztime=30s ./internal/topo
 	$(GO) test -fuzz='^FuzzPredictSession$$' -fuzztime=30s ./internal/qoe
+	$(GO) test -fuzz='^FuzzEvaluateMatchesOracle$$' -fuzztime=30s ./internal/fibbing
 
 # The scenario-matrix stress harness as a CI gate.
 matrix:
@@ -93,12 +95,17 @@ bench:
 # detected and a plan committed after it, so the fast-failover pipeline
 # cannot silently break. The parallel benchmarks additionally gate
 # allocs/op (limit 1.05x): the worker pool must not buy wall-clock with
-# garbage. -count 5 + best-of in benchjson filters scheduler noise.
+# garbage. The route-evaluator rows (fattree8 under pin-all lies,
+# waxman200 plain IGP) gate allocs/op at 1.05x as well: their allocation
+# count is deterministic, so that bound does not inherit ns/op noise.
+# -count 5 + best-of in benchjson filters scheduler noise.
 bench-gate:
 	$(GO) test -run '^$$' -bench 'BenchmarkIncrementalVsFull|BenchmarkReshareIncremental|BenchmarkPlannerGbit|BenchmarkPlannerRepeat|BenchmarkReactionLatency/failover' -benchtime 1x -count 5 . > bench.gate.tmp || { rm -f bench.gate.tmp; exit 1; }
 	$(GO) run ./cmd/benchjson -baseline BENCH_baseline.json -gate 'IncrementalVsFull.*/incremental$$|ReshareIncremental/viewers=100000/join$$|ReshareIncremental/viewers=100000/components/workers=(1|4)$$|PlannerGbit/1G$$|PlannerRepeat/(cold|warm|warm-qoe)$$|ReactionLatency/failover/(bfd|snmp)$$' -max-ratio 2 < bench.gate.tmp; s=$$?; rm -f bench.gate.tmp; exit $$s
 	$(GO) test -run '^$$' -bench 'BenchmarkParallelSPF|BenchmarkScaleTier' -benchtime 1x -count 5 -benchmem . > bench.gate.tmp || { rm -f bench.gate.tmp; exit 1; }
 	$(GO) run ./cmd/benchjson -baseline BENCH_baseline.json -gate 'ParallelSPF/(seq|par)$$|ScaleTier/(seq|par)$$' -max-ratio 2 -max-allocs-ratio 1.05 < bench.gate.tmp; s=$$?; rm -f bench.gate.tmp; exit $$s
+	$(GO) test -run '^$$' -bench 'BenchmarkEvaluate' -benchtime 1x -count 5 -benchmem . > bench.gate.tmp || { rm -f bench.gate.tmp; exit 1; }
+	$(GO) run ./cmd/benchjson -baseline BENCH_baseline.json -gate 'Evaluate/(fattree8-pinall|waxman200-igp)$$' -max-ratio 2 -max-allocs-ratio 1.05 < bench.gate.tmp; s=$$?; rm -f bench.gate.tmp; exit $$s
 
 # The large-topology scaling cells with wall-clock/event telemetry
 # (Gbit-capacity defaults; override with -capacity via `go run`).

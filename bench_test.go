@@ -261,6 +261,48 @@ func BenchmarkAugmentationStrategies(b *testing.B) {
 	})
 }
 
+// BenchmarkEvaluate measures the analytic route evaluator every planner
+// strategy compiles through: one reverse single-destination SPF plus one
+// scan of every router's links. fattree8-pinall evaluates the k=8 fabric
+// under AugmentPinAll's lies (cost-0 pins on every non-attachment
+// switch); waxman200-igp is the plain-IGP view of a 200-router WAN.
+// make bench-gate gates its allocs/op, which is deterministic.
+func BenchmarkEvaluate(b *testing.B) {
+	fat := topo.FatTree(topo.FatTreeOpts{K: 8, Capacity: 10e6, MaxWeight: 3, Seed: 2})
+	pin, err := fibbing.AugmentPinAll(fat, topo.FatTreePrefixName, fibbing.DAG{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	wax := topo.Waxman(topo.WaxmanOpts{Nodes: 200, Capacity: 10e6, MaxWeight: 5, Seed: 13})
+	for _, c := range []struct {
+		name   string
+		tp     *topo.Topology
+		prefix string
+		lies   []fibbing.Lie
+	}{
+		{"fattree8-pinall", fat, topo.FatTreePrefixName, pin.Lies},
+		{"waxman200-igp", wax, topo.WaxmanPrefixName, nil},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			// One untimed call warms the pooled SPF scratch, so allocs/op
+			// counts only the evaluation itself.
+			if _, err := fibbing.Evaluate(c.tp, c.prefix, c.lies); err != nil {
+				b.Fatal(err)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				views, err := fibbing.Evaluate(c.tp, c.prefix, c.lies)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if len(views) == 0 {
+					b.Fatal("no route views")
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkLPScaling measures min-max LP solve time as topology size
 // grows (design choice: dense two-phase simplex on stdlib only).
 func BenchmarkLPScaling(b *testing.B) {

@@ -4,7 +4,7 @@ package controller
 // fan-out — and every successive planner invocation between state
 // changes — used to recompute the same expensive inputs from scratch:
 // per-source SPF trees, Yen k-shortest-path sets, the believed-topology
-// compilation (fibbing.Evaluate: one SPF per router per prefix), and the
+// compilation (fibbing.Evaluate: one reverse SPF per prefix), and the
 // fluid load estimates behind PlanContext.Evaluate. PlanArtifacts
 // memoises all of them, keyed by value-complete cache keys (topology
 // binding by pointer, lie sets and demand volumes encoded into the key),
@@ -236,8 +236,8 @@ func (a *PlanArtifacts) KShortest(src, dst topo.NodeID, k, spurLimit int) [][]to
 
 // Views returns the memoised believed-topology compilation for one
 // prefix under the given lie set (nil lies = the plain IGP view). This is
-// the planner's dominant repeated cost: fibbing.Evaluate runs one SPF per
-// router over the augmented graph.
+// the planner's most frequent repeated cost: fibbing.Evaluate runs one
+// reverse SPF from the prefix plus a scan of every router's links.
 func (a *PlanArtifacts) Views(prefix string, lies []fibbing.Lie) (map[topo.NodeID]fibbing.RouteView, error) {
 	var sb strings.Builder
 	sb.WriteString(prefix)
@@ -314,7 +314,7 @@ func (a *PlanArtifacts) SolveMinMax(demands []topo.Demand) (*te.MinMaxResult, er
 
 // CompileDAG returns the memoised compileDAG outcome for a requirement
 // DAG on one prefix: the add-paths-then-pin-all compilation plus the
-// Verify sweep, each of which runs fibbing.Evaluate (one SPF per router)
+// Verify sweep, each of which runs fibbing.Evaluate (one reverse SPF)
 // internally. The KSP strategy's greedy path accumulation retries the
 // same candidate DAGs on every invocation, making this the planner's
 // second-largest repeated cost after the view compilations. The returned

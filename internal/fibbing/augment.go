@@ -173,19 +173,17 @@ func ReduceLies(t *topo.Topology, prefixName string, aug *Augmentation, dag DAG)
 	}
 	slices.Sort(routers)
 
+	igp, err := IGPView(t, prefixName)
+	if err != nil {
+		return nil, err
+	}
 	for _, u := range routers {
-		if _, constrained := dag[u]; constrained {
-			// Never drop a constrained router's lies wholesale if its
-			// IGP routing differs from the requirement; the check
-			// below would catch it, but skipping saves evaluations
-			// when the requirement is clearly non-default.
-			igp, err := IGPView(t, prefixName)
-			if err != nil {
-				return nil, err
-			}
-			if !igp[u].NextHops.Equal(dag[u]) {
-				continue
-			}
+		// Never drop a constrained router's lies wholesale if its IGP
+		// routing differs from the requirement; the check below would
+		// catch it, but skipping saves evaluations when the requirement
+		// is clearly non-default.
+		if want, constrained := dag[u]; constrained && !igp[u].NextHops.Equal(want) {
+			continue
 		}
 		trial := withoutGroup(current, u)
 		views, err := Evaluate(t, prefixName, trial)

@@ -2,6 +2,8 @@ package fibbing
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 
 	"fibbing.net/fibbing/internal/spf"
 	"fibbing.net/fibbing/internal/topo"
@@ -25,6 +27,16 @@ type RouteView struct {
 // but runs on the topology directly, without protocol machinery — this is
 // what the controller uses to predict the effect of an augmentation before
 // injecting it.
+//
+// The question is single-destination, so it is answered by one reverse
+// SPF (spf.DistancesTo) seeded at the prefix's attachments and at the
+// routers the lies hang off, followed by one scan of every router's
+// links: a router's next hops are the neighbours on a shortest path to
+// the prefix, one RIB entry each however many parallel links reach them,
+// plus one entry per own lie that ties its distance (the Fibbing trick).
+// The per-router form — a full SPF from every router over the topology
+// with one leaf node grafted on per lie — survives only as the test
+// oracle.
 func Evaluate(t *topo.Topology, prefixName string, lies []Lie) (map[topo.NodeID]RouteView, error) {
 	p, ok := t.PrefixByName(prefixName)
 	if !ok {
@@ -42,79 +54,46 @@ func Evaluate(t *topo.Topology, prefixName string, lies []Lie) (map[topo.NodeID]
 		}
 	}
 
-	// Augmented graph: real topology plus one leaf node per lie.
-	g := spf.FromTopology(t)
-	lieNode := make(map[topo.NodeID]Lie, len(lies)) // graph node -> lie
-	for _, l := range lies {
-		idx := g.AddNode()
-		g.AddEdge(l.Attach, spf.Edge{To: idx, Weight: l.Cost, Link: topo.NoLink})
-		lieNode[idx] = l
-	}
-	attached := make(map[topo.NodeID]int64, len(p.Attachments))
+	seeds := make([]spf.Seed, 0, len(p.Attachments)+len(lies))
 	for _, a := range p.Attachments {
-		attached[a.Node] = a.Cost
+		seeds = append(seeds, spf.Seed{Node: a.Node, Dist: a.Cost})
 	}
+	for _, l := range lies {
+		// A fake hung off a host is never reached: hosts do not transit.
+		if !t.Node(l.Attach).Host {
+			seeds = append(seeds, spf.Seed{Node: l.Attach, Dist: l.Cost})
+		}
+	}
+	dist := spf.DistancesTo(t, seeds)
 
 	out := make(map[topo.NodeID]RouteView, t.NumNodes())
-	for _, n := range t.Nodes() {
-		if n.Host {
+	for _, a := range p.Attachments {
+		if !t.Node(a.Node).Host {
+			out[a.Node] = RouteView{Local: true, NextHops: NextHopWeights{}}
+		}
+	}
+	for i := 0; i < t.NumNodes(); i++ {
+		u := topo.NodeID(i)
+		if _, local := out[u]; local || t.Node(u).Host {
 			continue
 		}
-		u := n.ID
-		if _, ok := attached[u]; ok {
-			out[u] = RouteView{Local: true, NextHops: NextHopWeights{}}
-			continue
-		}
-		tree := spf.ComputeRouters(g, t, u)
-
-		best := spf.Infinity
-		for a, cost := range attached {
-			if tree.Reachable(a) && tree.Dist[a]+cost < best {
-				best = tree.Dist[a] + cost
-			}
-		}
-		for idx := range lieNode {
-			if tree.Reachable(idx) && tree.Dist[idx] < best {
-				best = tree.Dist[idx]
-			}
-		}
-		view := RouteView{Dist: best, NextHops: NextHopWeights{}}
-		if best == spf.Infinity {
-			out[u] = view
-			continue
-		}
-		set := make(map[topo.NodeID]bool)
-		for a, cost := range attached {
-			if !tree.Reachable(a) || tree.Dist[a]+cost != best {
-				continue
-			}
-			for _, nh := range tree.NextHops(a) {
-				set[nh.Node] = true
-			}
-		}
-		for idx, l := range lieNode {
-			if !tree.Reachable(idx) || tree.Dist[idx] != best {
-				continue
-			}
-			if l.Attach == u {
-				// Own fake: one extra RIB path to its forwarding
-				// address (additive — the Fibbing trick).
-				view.NextHops[l.Via]++
-				continue
-			}
-			for _, nh := range tree.NextHops(idx) {
-				if _, isLie := lieNode[nh.Node]; isLie {
-					// First hop is a fake node: only possible when
-					// u == attach, handled above.
-					continue
+		view := RouteView{Dist: dist[u], NextHops: NextHopWeights{}}
+		if view.Dist != spf.Infinity {
+			for _, id := range t.OutLinks(u) {
+				l := t.Link(id)
+				if d := dist[l.To]; d != spf.Infinity && l.Weight+d == view.Dist {
+					view.NextHops[l.To] = 1 // once per neighbour, even over parallel links
 				}
-				set[nh.Node] = true
 			}
-		}
-		for v := range set {
-			view.NextHops[v]++
 		}
 		out[u] = view
+	}
+	// Own fakes: each one that ties the router's distance is one extra RIB
+	// path to its forwarding address (additive — the Fibbing trick).
+	for _, l := range lies {
+		if v, ok := out[l.Attach]; ok && !v.Local && v.Dist != spf.Infinity && l.Cost == v.Dist {
+			v.NextHops[l.Via]++
+		}
 	}
 	return out, nil
 }
@@ -124,21 +103,11 @@ func IGPView(t *topo.Topology, prefixName string) (map[topo.NodeID]RouteView, er
 	return Evaluate(t, prefixName, nil)
 }
 
-// ForwardingGraph extracts the per-destination forwarding edges from a set
-// of route views: one edge per (router, next hop).
-func ForwardingGraph(views map[topo.NodeID]RouteView) map[topo.NodeID][]topo.NodeID {
-	out := make(map[topo.NodeID][]topo.NodeID, len(views))
-	for u, v := range views {
-		for nh := range v.NextHops {
-			out[u] = append(out[u], nh)
-		}
-	}
-	return out
-}
-
 // CheckDelivery verifies that the forwarding graph induced by views is
 // loop-free and that every router with a route eventually reaches a Local
 // router. This is the safety property every augmentation must preserve.
+// Routers are visited in NodeID order and next hops in sorted order, so
+// the error names the same router on every run.
 func CheckDelivery(t *topo.Topology, views map[topo.NodeID]RouteView) error {
 	const (
 		white = 0 // unvisited
@@ -165,7 +134,7 @@ func CheckDelivery(t *topo.Topology, views map[topo.NodeID]RouteView) error {
 			return fmt.Errorf("fibbing: %s has no next hops and is not local", t.Name(u))
 		}
 		state[u] = grey
-		for nh := range v.NextHops {
+		for _, nh := range sortedNextHops(v.NextHops) {
 			if err := visit(nh); err != nil {
 				return err
 			}
@@ -173,8 +142,8 @@ func CheckDelivery(t *topo.Topology, views map[topo.NodeID]RouteView) error {
 		state[u] = black
 		return nil
 	}
-	for u, v := range views {
-		if v.Dist == spf.Infinity && !v.Local {
+	for _, u := range slices.Sorted(maps.Keys(views)) {
+		if v := views[u]; v.Dist == spf.Infinity && !v.Local {
 			continue // unreachable routers carry no traffic
 		}
 		if err := visit(u); err != nil {

@@ -252,6 +252,31 @@ func TestCheckDeliveryDetectsBlackhole(t *testing.T) {
 	}
 }
 
+// TestCheckDeliveryErrorIsDeterministic builds two disjoint forwarding
+// loops (A<->B and R2->R3->R4->R2, each entered with several next hops)
+// and requires every call to name the same router: the loop found first
+// from the lowest NodeID, walking next hops in sorted order.
+func TestCheckDeliveryErrorIsDeterministic(t *testing.T) {
+	tp := fig1()
+	n := tp.MustNode
+	views := map[topo.NodeID]RouteView{
+		n("A"):  {Dist: 1, NextHops: NextHopWeights{n("B"): 1, n("R1"): 1}},
+		n("B"):  {Dist: 1, NextHops: NextHopWeights{n("A"): 1, n("R2"): 1}},
+		n("R1"): {Dist: 1, NextHops: NextHopWeights{n("R4"): 1, n("C"): 1}},
+		n("R2"): {Dist: 1, NextHops: NextHopWeights{n("R3"): 1}},
+		n("R3"): {Dist: 1, NextHops: NextHopWeights{n("R4"): 1}},
+		n("R4"): {Dist: 1, NextHops: NextHopWeights{n("R2"): 1, n("C"): 1}},
+		n("C"):  {Local: true, NextHops: NextHopWeights{}},
+	}
+	const want = "fibbing: forwarding loop through A"
+	for i := 0; i < 100; i++ {
+		err := CheckDelivery(tp, views)
+		if err == nil || err.Error() != want {
+			t.Fatalf("call %d: CheckDelivery = %v, want %q", i, err, want)
+		}
+	}
+}
+
 func TestNextHopWeightsEqual(t *testing.T) {
 	w1 := NextHopWeights{1: 1, 2: 2}
 	w2 := NextHopWeights{1: 2, 2: 4}

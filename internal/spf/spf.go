@@ -479,6 +479,63 @@ func HostSkip(t *topo.Topology) func(topo.NodeID) bool {
 	}
 }
 
+// Seed is one origin of a single-destination solve: Node reaches the
+// destination directly at cost Dist (a prefix attachment, or a fake node
+// hanging off a router).
+type Seed struct {
+	Node topo.NodeID
+	Dist int64
+}
+
+// DistancesTo solves the single-destination shortest-path problem on t:
+// it returns, indexed by node, the least cost at which each node reaches
+// the destination the seeds describe, Infinity where it cannot. It is one
+// multi-source Dijkstra over the reversed links, so "every router's
+// distance to one prefix" costs one SPF instead of one per router.
+// Duplicate seeds keep their minimum. HostSkip's no-transit rule holds: a
+// host keeps its seed distance and is never reached through a neighbour,
+// so no path transits it.
+func DistancesTo(t *topo.Topology, seeds []Seed) []int64 {
+	n := t.NumNodes()
+	dist := make([]int64, n)
+	for i := range dist {
+		dist[i] = Infinity
+	}
+	sc := getScratch()
+	defer sc.release()
+	done := sc.boolSlice(n)
+	h := &sc.h
+	for _, s := range seeds {
+		if s.Dist < dist[s.Node] {
+			dist[s.Node] = s.Dist
+			h.push(item{node: s.Node, dist: s.Dist})
+		}
+	}
+	for !h.empty() {
+		it := h.pop()
+		v := it.node
+		if done[v] || it.dist > dist[v] {
+			continue
+		}
+		done[v] = true
+		for _, id := range t.InLinks(v) {
+			l := t.Link(id)
+			if t.Node(l.From).Host {
+				continue // hosts never transit
+			}
+			alt := dist[v] + l.Weight
+			if alt < 0 { // overflow guard
+				continue
+			}
+			if alt < dist[l.From] {
+				dist[l.From] = alt
+				h.push(item{node: l.From, dist: alt})
+			}
+		}
+	}
+	return dist
+}
+
 // ComputeRouters runs Compute from src over a graph derived from t
 // (possibly extended with synthetic nodes) with the canonical host-skip
 // rule. It is the shared entry point of every caller that builds ad-hoc

@@ -170,6 +170,38 @@ func TestSkipExcludesTransit(t *testing.T) {
 	}
 }
 
+// TestDistancesToMatchesForwardSPF checks the reverse multi-source solve
+// against one forward SPF per router: a router's distance is its cheapest
+// seed reached without transiting a host; a host keeps its own seed.
+func TestDistancesToMatchesForwardSPF(t *testing.T) {
+	for seed := int64(1); seed <= 6; seed++ {
+		tp := topo.RandomConnected(topo.RandomOpts{Nodes: 12, Degree: 3, MaxWeight: 4, Seed: seed})
+		h0, h1 := tp.AddHost("h0"), tp.AddHost("h1")
+		tp.AddLink(h0, 0, 1, topo.LinkOpts{})
+		tp.AddLink(h0, 5, 1, topo.LinkOpts{}) // multi-homed: must not transit
+		tp.AddLink(h1, 9, 2, topo.LinkOpts{})
+		seeds := []Seed{{Node: 3, Dist: 4}, {Node: 3, Dist: 1}, {Node: 7, Dist: 0}, {Node: h0, Dist: 2}}
+		got := DistancesTo(tp, seeds)
+		g := FromTopology(tp)
+		for x := range got {
+			want := Infinity
+			if !tp.Node(topo.NodeID(x)).Host {
+				tree := ComputeRouters(g, tp, topo.NodeID(x))
+				for _, s := range seeds {
+					if tree.Reachable(s.Node) && tree.Dist[s.Node]+s.Dist < want {
+						want = tree.Dist[s.Node] + s.Dist
+					}
+				}
+			} else if topo.NodeID(x) == h0 {
+				want = 2
+			}
+			if got[x] != want {
+				t.Fatalf("seed %d: node %s: DistancesTo = %d, forward SPF = %d", seed, tp.Name(topo.NodeID(x)), got[x], want)
+			}
+		}
+	}
+}
+
 func TestAllPairs(t *testing.T) {
 	tp := topo.Fig1(topo.Fig1Opts{WithHosts: true})
 	trees := AllPairs(tp)
