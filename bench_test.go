@@ -813,9 +813,10 @@ func BenchmarkScenarioCell(b *testing.B) {
 	if !ok {
 		b.Fatal("ring/surge not in matrix")
 	}
+	suite := scenarios.MatrixSuite()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := scenarios.RunPair(spec); err != nil {
+		if _, err := suite.Compare(spec); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -847,9 +848,10 @@ func BenchmarkScenarioScaling(b *testing.B) {
 // BenchmarkScenarioMatrix runs the entire matrix serially: the full
 // stress-harness wall-clock cost.
 func BenchmarkScenarioMatrix(b *testing.B) {
+	suite := scenarios.MatrixSuite()
 	for i := 0; i < b.N; i++ {
-		for _, spec := range scenarios.MatrixSpecs() {
-			cmp, err := scenarios.Compare(spec)
+		for _, spec := range suite.Specs {
+			cmp, err := suite.Compare(spec)
 			if err != nil {
 				b.Fatal(err)
 			}

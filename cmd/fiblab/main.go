@@ -1,6 +1,11 @@
-// Command fiblab runs the scenario-matrix stress harness: a named
-// scenario cell, an ad-hoc spec, or the whole matrix, with the Fibbing
-// controller on and off, and reports the comparison as text or JSON.
+// Command fiblab runs the scenario stress harness. It selects one
+// comparison suite — the matrix (controller on vs off; a named cell, an
+// ad-hoc spec or every cell), the fast-failover cells (-failover) or the
+// score-mode cells (-qoe) — runs every cell once per variant of the
+// suite, checks the suite's invariants, and reports the comparisons as
+// text or JSON (one object per cell: its spec, its runs as a map from
+// variant name to report, and its violations). The -scale cells are
+// single controller-on runs that report cost rather than a comparison.
 //
 // Usage:
 //
@@ -51,7 +56,7 @@ func main() {
 		jsonOut  = flag.Bool("json", false, "emit JSON instead of text")
 		duration = flag.Duration("duration", 0, "override the scenario duration")
 		strats   = flag.String("strategies", "", "comma-separated reaction strategies (e.g. localecmp,ksp,lpoptimal); empty keeps the stock set")
-		scoreMd  = flag.String("score-mode", "", "planner scoring objective: util (default), qoe (predicted stall-seconds first) or blended")
+		scoreMd  = flag.String("score-mode", "", "planner scoring objective: util (default) or qoe (predicted stall-seconds first)")
 
 		topoF    = flag.String("topo", "", "ad-hoc run: topology family (fig1, abilene, fattree, ring, grid, waxman, random)")
 		capacity = flag.String("capacity", "", "uniform link capacity, e.g. 1G or 10G (ad-hoc runs and overriding matrix/scale cells; empty keeps the cell's own)")
@@ -114,34 +119,29 @@ func main() {
 		return
 	}
 
-	if *failover {
-		runFailover(*duration, *jsonOut, *workers)
-		return
-	}
-
-	if *qoeCells {
-		runQoE(*duration, *jsonOut, *workers, *cacheStats)
-		return
-	}
-
-	var specs []scenarios.Spec
+	// -failover and -qoe select their suites; -run, -topo and -matrix
+	// run matrix cells (controller on vs off).
+	suite := scenarios.MatrixSuite()
 	switch {
+	case *failover:
+		suite = scenarios.FailoverSuite()
+	case *qoeCells:
+		suite = scenarios.QoESuite()
 	case *run != "":
 		s, ok := scenarios.SpecByName(*run)
 		if !ok {
 			fmt.Fprintf(os.Stderr, "fiblab: no matrix cell %q (see -list)\n", *run)
 			os.Exit(2)
 		}
-		specs = append(specs, s)
+		suite.Specs = []scenarios.Spec{s}
 	case *topoF != "":
-		specs = append(specs, scenarios.Spec{
+		suite.Specs = []scenarios.Spec{{
 			Topo:     scenarios.TopoSpec{Family: *topoF, Size: *size, Seed: *seed, Capacity: capOverride},
 			Workload: *workload,
 			Failure:  *failure,
 			Seed:     *seed,
-		})
-	case *matrix:
-		specs = scenarios.MatrixSpecs()
+		}}
+	case *matrix: // every cell of the matrix suite
 	default:
 		flag.Usage()
 		os.Exit(2)
@@ -150,7 +150,7 @@ func main() {
 	var results []*scenarios.Comparison
 	failed := false
 	start := time.Now()
-	for _, spec := range specs {
+	for _, spec := range suite.Specs {
 		if *duration > 0 {
 			spec.Duration = *duration
 		}
@@ -173,7 +173,7 @@ func main() {
 		if *standbyK > 0 {
 			spec.StandbyK = *standbyK
 		}
-		cmp, err := scenarios.Compare(spec)
+		cmp, err := suite.Compare(spec)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "fiblab: %v\n", err)
 			os.Exit(1)
@@ -184,9 +184,9 @@ func main() {
 		}
 		if !*jsonOut {
 			var b strings.Builder
-			cmp.Render(&b)
+			suite.Render(&b, cmp)
 			if *cacheStats {
-				cmp.On.RenderCacheStats(&b, "  ")
+				cmp.Runs[suite.Variants[0].Name].RenderCacheStats(&b, "  ")
 			}
 			fmt.Print(b.String())
 		}
@@ -203,92 +203,6 @@ func main() {
 	}
 	if failed {
 		fmt.Fprintln(os.Stderr, "fiblab: invariant violations (see above)")
-		os.Exit(1)
-	}
-}
-
-// runFailover executes the fast-failover cells: each spec runs twice
-// with the controller on — BFD + standby cache against SNMP-poll
-// detection — and the comparison checks the order-of-magnitude latency
-// and stall-ratio invariants between them.
-func runFailover(duration time.Duration, jsonOut bool, workers int) {
-	var results []*scenarios.FailoverComparison
-	failed := false
-	for _, spec := range scenarios.FailoverSpecs() {
-		if duration > 0 {
-			spec.Duration = duration
-		}
-		spec.Workers = workers
-		cmp, err := scenarios.CompareFailover(spec)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "fiblab: %v\n", err)
-			os.Exit(1)
-		}
-		results = append(results, cmp)
-		if len(cmp.Violations) > 0 {
-			failed = true
-		}
-		if !jsonOut {
-			var b strings.Builder
-			cmp.Render(&b)
-			fmt.Print(b.String())
-		}
-	}
-	if jsonOut {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(results); err != nil {
-			fmt.Fprintf(os.Stderr, "fiblab: %v\n", err)
-			os.Exit(1)
-		}
-	}
-	if failed {
-		fmt.Fprintln(os.Stderr, "fiblab: failover invariant violations (see above)")
-		os.Exit(1)
-	}
-}
-
-// runQoE executes the score-mode comparison cells: each spec runs three
-// times — controller off, utilisation scoring, QoE scoring — and the
-// comparison checks that stall-aware planning buys strictly fewer
-// stalled viewer-seconds (predicted and simulated) without worsening on
-// plain IGP.
-func runQoE(duration time.Duration, jsonOut bool, workers int, cacheStats bool) {
-	var results []*scenarios.ScoreModeComparison
-	failed := false
-	for _, spec := range scenarios.QoESpecs() {
-		if duration > 0 {
-			spec.Duration = duration
-		}
-		spec.Workers = workers
-		cmp, err := scenarios.CompareScoreModes(spec)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "fiblab: %v\n", err)
-			os.Exit(1)
-		}
-		results = append(results, cmp)
-		if len(cmp.Violations) > 0 {
-			failed = true
-		}
-		if !jsonOut {
-			var b strings.Builder
-			cmp.Render(&b)
-			if cacheStats {
-				cmp.QoE.RenderCacheStats(&b, "  ")
-			}
-			fmt.Print(b.String())
-		}
-	}
-	if jsonOut {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(results); err != nil {
-			fmt.Fprintf(os.Stderr, "fiblab: %v\n", err)
-			os.Exit(1)
-		}
-	}
-	if failed {
-		fmt.Fprintln(os.Stderr, "fiblab: score-mode invariant violations (see above)")
 		os.Exit(1)
 	}
 }

@@ -79,9 +79,9 @@ type Config struct {
 	MaxLPRouters int
 	// ScoreMode selects what the planner optimises: ScoreUtil (the zero
 	// value: max link utilisation, the historical behaviour), ScoreQoE
-	// (predicted viewer stall-seconds first) or ScoreBlended. Under
-	// ScoreQoE/ScoreBlended the controller equips every planning round
-	// with the QoE predictor over its tracked member counts.
+	// (predicted viewer stall-seconds first). Under ScoreQoE the
+	// controller equips every planning round with the QoE predictor over
+	// its tracked member counts.
 	ScoreMode ScoreMode
 }
 
@@ -455,7 +455,7 @@ func (c *Controller) plan(ev Event) {
 	if ev.Kind == EventAlarmRaised && ctx.BaseUtil <= c.cfg.target {
 		return // stale alarm
 	}
-	if c.cfg.scoreMode != ScoreUtil {
+	if c.cfg.scoreMode == ScoreQoE {
 		ctx = ctx.WithQoE(c.QoEModel())
 	}
 	plan, errs := c.planner.Plan(ctx)

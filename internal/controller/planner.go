@@ -152,7 +152,7 @@ func (p *Planner) Plan(ctx PlanContext) (*Plan, []error) {
 // the verdict call ProposeAll once and Select on the result instead of
 // paying the strategy fan-out twice.
 func (p *Planner) Select(ctx PlanContext, plans []*Plan) *Plan {
-	qoeActive := ctx.ScoreMode != ScoreUtil && ctx.PredictQoE != nil
+	qoeActive := ctx.ScoreMode == ScoreQoE && ctx.PredictQoE != nil
 	var best *Plan
 	for _, plan := range plans {
 		plan.LieCost = liveLiesAfter(ctx.Installed, plan)
@@ -191,9 +191,9 @@ func (p *Planner) Select(ctx PlanContext, plans []*Plan) *Plan {
 // All comparisons use the relative utilEps, so the verdict is identical
 // for rescaled versions of the same problem.
 func admissible(ctx PlanContext, plan *Plan) bool {
-	if ctx.ScoreMode != ScoreUtil && ctx.PredictQoE != nil &&
+	if ctx.ScoreMode == ScoreQoE && ctx.PredictQoE != nil &&
 		plan.PredictedUtil > ctx.Target+utilEps(plan.PredictedUtil, ctx.Target) {
-		// QoE modes, above the target: only a strict stall improvement
+		// QoE scoring, above the target: only a strict stall improvement
 		// admits the plan. In particular a plan that merely improves the
 		// predicted utilisation (the util-mode gate below) is rejected when
 		// it gives those cooler links back by re-starving viewers — without
@@ -214,26 +214,10 @@ func admissible(ctx PlanContext, plan *Plan) bool {
 // ScoreUtil orders by target satisfaction, lie cost, predicted
 // utilisation. ScoreQoE puts the predicted stall score first — fewer
 // stalled viewer-seconds beat everything, with the utilisation order as
-// the tie-break. ScoreBlended keeps target satisfaction first (a plan
-// that cools the network below target still wins) and breaks ties on
-// the stall score before lie cost.
+// the tie-break.
 func better(ctx PlanContext, a, b *Plan) bool {
-	if ctx.ScoreMode != ScoreUtil && ctx.PredictQoE != nil {
-		if ctx.ScoreMode == ScoreQoE {
-			if stallDiffers(a, b) {
-				return a.PredictedStall < b.PredictedStall
-			}
-			return betterUtil(ctx, a, b)
-		}
-		// Blended: target satisfaction first, then the stall score.
-		satA := a.PredictedUtil <= ctx.Target+utilEps(a.PredictedUtil, ctx.Target)
-		satB := b.PredictedUtil <= ctx.Target+utilEps(b.PredictedUtil, ctx.Target)
-		if satA != satB {
-			return satA
-		}
-		if stallDiffers(a, b) {
-			return a.PredictedStall < b.PredictedStall
-		}
+	if ctx.ScoreMode == ScoreQoE && ctx.PredictQoE != nil && stallDiffers(a, b) {
+		return a.PredictedStall < b.PredictedStall
 	}
 	return betterUtil(ctx, a, b)
 }

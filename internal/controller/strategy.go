@@ -58,8 +58,8 @@ type PlanContext struct {
 	// key replaces that prefix's installed lies (empty clears them),
 	// absent prefixes keep theirs. Evaluate(nil) == BaseUtil.
 	Evaluate func(overlay map[string][]fibbing.Lie) (float64, error)
-	// ScoreMode selects the planner's scoring order (utilisation, QoE,
-	// or blended); see the ScoreMode constants.
+	// ScoreMode selects the planner's scoring order (utilisation or
+	// QoE); see the ScoreMode constants.
 	ScoreMode ScoreMode
 	// QoEModel describes the viewer population (member counts per
 	// aggregate, playback model) when QoE scoring is active; zero

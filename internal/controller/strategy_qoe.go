@@ -20,7 +20,7 @@ import (
 // max-min fair sharing, moving a thin crowd onto a shared path can
 // protect every thin session at the cost of the fat ones, a trade
 // invisible to max-utilisation scoring. It abstains without a QoE
-// predictor (utilisation score modes) and when no candidate strictly
+// predictor (utilisation scoring) and when no candidate strictly
 // improves the no-op plan's predicted stall score.
 type QoEGreedyStrategy struct {
 	// K is the number of loopless paths to consider per prefix

@@ -14,12 +14,12 @@ import (
 // horizon, and the steady rate drawn from the (sanitised) ladder.
 func FuzzPredictSession(f *testing.F) {
 	// rate, horizonSec, rung1, rung2, segMs, safety, startupBuffer
-	f.Add(0.0, 30.0, 1e6, 2e6, int64(2000), 0.8, 2.0)      // starved session
-	f.Add(5e4, 30.0, 1e6, 2e6, int64(2000), 0.8, 2.0)      // rate below lowest rung
-	f.Add(1.5e6, 30.0, 1e6, 0.0, int64(2000), 0.8, 2.0)    // single-rung ladder
+	f.Add(0.0, 30.0, 1e6, 2e6, int64(2000), 0.8, 2.0)   // starved session
+	f.Add(5e4, 30.0, 1e6, 2e6, int64(2000), 0.8, 2.0)   // rate below lowest rung
+	f.Add(1.5e6, 30.0, 1e6, 0.0, int64(2000), 0.8, 2.0) // single-rung ladder
 	f.Add(math.NaN(), 30.0, 1e6, 2e6, int64(2000), 0.8, 2.0)
 	f.Add(math.Inf(1), 30.0, math.Inf(1), 2e6, int64(2000), 0.8, 2.0)
-	f.Add(1e6, 0.0, 1e6, 2e6, int64(2000), 0.8, 2.0)       // zero horizon
+	f.Add(1e6, 0.0, 1e6, 2e6, int64(2000), 0.8, 2.0) // zero horizon
 	f.Add(-1e6, 30.0, -1e6, 2e6, int64(-5), math.NaN(), math.Inf(-1))
 	f.Fuzz(func(t *testing.T, rate, horizonSec, rung1, rung2 float64, segMs int64, safety, buffer float64) {
 		if math.IsNaN(horizonSec) || horizonSec < 0 || horizonSec > 1e6 {

@@ -7,6 +7,26 @@ import (
 	"fibbing.net/fibbing/internal/controller"
 )
 
+// runChecked runs spec with the controller on, calling check every period
+// of simulated time from a ticker armed on the freshly wired simulation.
+func runChecked(t *testing.T, spec Spec, period time.Duration, check func(*controller.Sim)) *Report {
+	t.Helper()
+	c, err := build(spec, true)
+	if err != nil {
+		t.Fatalf("%s: %v", spec.Name, err)
+	}
+	sim, err := c.wire()
+	if err != nil {
+		t.Fatalf("%s: %v", spec.Name, err)
+	}
+	sim.Sched.NewTicker(period, func() { check(sim) })
+	rep, err := c.run(sim)
+	if err != nil {
+		t.Fatalf("%s: %v", spec.Name, err)
+	}
+	return rep
+}
+
 // TestAggregateReshareMatchesGlobalSolve is the traffic-plane equivalence
 // property over the zoo: every matrix cell (all 6 topology families x 3
 // workload/failure schedules) runs with the controller on — so lie churn,
@@ -14,30 +34,18 @@ import (
 // while a ticker repeatedly compares the live aggregate/incremental
 // allocation against a from-scratch per-flow global max-min solve. Any
 // drift beyond 1e-9 (relative) fails the cell.
-//
-// It must not run in parallel: it arms the package test hook, which the
-// parallel matrix tests would otherwise observe (Go runs all serial tests
-// before any parallel one starts, so ordering is guaranteed).
 func TestAggregateReshareMatchesGlobalSolve(t *testing.T) {
-	defer func() { testHookSimBuilt = nil }()
 	incrementalCells := 0
 	for _, spec := range MatrixSpecs() {
-		spec := spec
 		var checks int
-		testHookSimBuilt = func(sim *controller.Sim) {
-			// An off-grid period keeps the checks interleaved between the
-			// samplers and wave events rather than synchronised with them.
-			sim.Sched.NewTicker(333*time.Millisecond, func() {
-				checks++
-				if err := sim.Net.VerifyMaxMin(1e-9); err != nil {
-					t.Errorf("%s @%v: %v", spec.Name, sim.Sched.Now(), err)
-				}
-			})
-		}
-		rep, err := Run(spec, true)
-		if err != nil {
-			t.Fatalf("%s: %v", spec.Name, err)
-		}
+		// An off-grid period keeps the checks interleaved between the
+		// samplers and wave events rather than synchronised with them.
+		rep := runChecked(t, spec, 333*time.Millisecond, func(sim *controller.Sim) {
+			checks++
+			if err := sim.Net.VerifyMaxMin(1e-9); err != nil {
+				t.Errorf("%s @%v: %v", spec.Name, sim.Sched.Now(), err)
+			}
+		})
 		if checks == 0 {
 			t.Fatalf("%s: equivalence ticker never fired", spec.Name)
 		}
@@ -60,7 +68,6 @@ func TestAggregateReshareMatchesGlobalSolve(t *testing.T) {
 // ticker: thousands of members per aggregate, joins in bulk, and the
 // allocation still matches the per-flow solve.
 func TestViewerScaledCellEquivalence(t *testing.T) {
-	defer func() { testHookSimBuilt = nil }()
 	spec := Spec{
 		Name:     "flashcrowd-mini",
 		Topo:     TopoSpec{Family: "fattree", Size: 4, Seed: 2, Capacity: 100e6},
@@ -68,17 +75,11 @@ func TestViewerScaledCellEquivalence(t *testing.T) {
 		Viewers:  5000,
 		Seed:     4,
 	}
-	testHookSimBuilt = func(sim *controller.Sim) {
-		sim.Sched.NewTicker(time.Second, func() {
-			if err := sim.Net.VerifyMaxMin(1e-9); err != nil {
-				t.Errorf("@%v: %v", sim.Sched.Now(), err)
-			}
-		})
-	}
-	rep, err := Run(spec, true)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := runChecked(t, spec, time.Second, func(sim *controller.Sim) {
+		if err := sim.Net.VerifyMaxMin(1e-9); err != nil {
+			t.Errorf("@%v: %v", sim.Sched.Now(), err)
+		}
+	})
 	if rep.Sessions != 5000 {
 		t.Fatalf("sessions = %d, want 5000", rep.Sessions)
 	}

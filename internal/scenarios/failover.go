@@ -34,7 +34,7 @@ const (
 
 // FailoverSpecs returns the fast-failover cells: failure schedules over
 // three topology families, each with BFD liveness and a 3-deep standby
-// cache. CompareFailover runs each against its SNMP-timescale twin.
+// cache. FailoverSuite runs each against its SNMP-timescale twin.
 func FailoverSpecs() []Spec {
 	specs := []Spec{
 		{Topo: TopoSpec{Family: "fig1"}, Workload: "steady", Failure: "hotlink",
@@ -48,39 +48,6 @@ func FailoverSpecs() []Spec {
 		specs[i] = specs[i].withDefaults()
 	}
 	return specs
-}
-
-// FailoverComparison pairs the BFD+standby run of a failover cell with
-// its SNMP-poll twin and the invariant violations found between them.
-type FailoverComparison struct {
-	Spec Spec    `json:"spec"`
-	Fast *Report `json:"fast"` // BFD + standby cache
-	Slow *Report `json:"slow"` // SNMP poll + IGP dead interval
-	// Violations lists the failed failover invariants (empty: cell holds).
-	Violations []string `json:"violations,omitempty"`
-}
-
-// CompareFailover runs a failover cell both ways (controller on in
-// both): as specified with BFD and the standby cache, and stripped back
-// to SNMP-poll failure detection. The slow twin's name swaps the "+bfd"
-// suffix for "+snmp".
-func CompareFailover(spec Spec) (*FailoverComparison, error) {
-	spec = spec.withDefaults()
-	fast, err := Run(spec, true)
-	if err != nil {
-		return nil, fmt.Errorf("fast run: %w", err)
-	}
-	slow := spec
-	slow.BFD = false
-	slow.StandbyK = 0
-	slow.Name = strings.TrimSuffix(spec.Name, "+bfd") + "+snmp"
-	slowRep, err := Run(slow, true)
-	if err != nil {
-		return nil, fmt.Errorf("slow run: %w", err)
-	}
-	c := &FailoverComparison{Spec: spec, Fast: fast, Slow: slowRep}
-	c.Violations = FailoverViolations(spec, fast, slowRep)
-	return c, nil
 }
 
 // failoverSummary renders one run's failover line for Render.
@@ -101,78 +68,87 @@ func failoverSummary(r *Report) string {
 	return s
 }
 
-// Render writes the comparison as an indented human-readable block.
-func (c *FailoverComparison) Render(b *strings.Builder) {
-	fmt.Fprintf(b, "%s\n  %s\n  %s\n", c.Spec.Name, failoverSummary(c.Fast), failoverSummary(c.Slow))
-	for _, v := range c.Violations {
-		fmt.Fprintf(b, "  VIOLATION: %s\n", v)
+// FailoverSuite is the fast-failover comparison: each failover cell
+// runs with the controller on twice — as specified, with BFD and the
+// standby cache ("fast"), and stripped back to SNMP-poll failure
+// detection ("slow") — and the fast run must win by an order of
+// magnitude.
+func FailoverSuite() Suite {
+	return Suite{
+		Specs: FailoverSpecs(),
+		Variants: []Variant{
+			{Name: "fast", Ctrl: true},
+			{Name: "slow", Ctrl: true, Edit: snmpTwin},
+		},
+		Invariants: []Invariant{failsOverFast("fast", "slow"), noErrors},
+		Summary:    failoverSummary,
 	}
 }
 
-// FailoverViolations checks the fast-failover invariants between the
+// snmpTwin strips a failover cell back to SNMP-poll failure detection;
+// its name swaps the "+bfd" suffix for "+snmp".
+func snmpTwin(s Spec) Spec {
+	s.BFD = false
+	s.StandbyK = 0
+	s.Name = strings.TrimSuffix(s.Name, "+bfd") + "+snmp"
+	return s
+}
+
+// failsOverFast checks the fast-failover invariants between the
 // BFD+standby run and its SNMP-poll twin.
-func FailoverViolations(spec Spec, fast, slow *Report) []string {
-	var v []string
-	fail := func(format string, args ...any) { v = append(v, fmt.Sprintf(format, args...)) }
+func failsOverFast(fastName, slowName string) Invariant {
+	return func(_ Spec, runs Runs) []string {
+		var v violations
+		fast, slow := runs[fastName], runs[slowName]
+		// The schedule must actually fail a link, and both controllers must
+		// have committed a plan after it — otherwise the ratios below
+		// compare nothing.
+		if fast.FailureAt < 0 || slow.FailureAt < 0 {
+			v.add("no link failure scheduled (failure_at fast=%v slow=%v)", fast.FailureAt, slow.FailureAt)
+			return v
+		}
+		if fast.FailoverCommitAt < 0 {
+			v.add("fast run never committed a plan after the failure")
+		}
+		if slow.FailoverCommitAt < 0 {
+			v.add("slow run never committed a plan after the failure")
+		}
+		if len(v) > 0 {
+			return v
+		}
 
-	// The schedule must actually fail a link, and both controllers must
-	// have committed a plan after it — otherwise the ratios below
-	// compare nothing.
-	if fast.FailureAt < 0 || slow.FailureAt < 0 {
-		fail("no link failure scheduled (failure_at fast=%v slow=%v)", fast.FailureAt, slow.FailureAt)
+		// The tentpole ratio: BFD + standby must cut failure-to-commit
+		// latency by an order of magnitude.
+		if fast.FailoverLatency <= 0 {
+			v.add("fast failover latency %v is not positive", fast.FailoverLatency)
+		} else if ratio := float64(slow.FailoverLatency) / float64(fast.FailoverLatency); ratio < failoverLatencyFactor {
+			v.add("failover latency ratio %.1fx below %.0fx (fast %v, slow %v)",
+				ratio, failoverLatencyFactor, fast.FailoverLatency, slow.FailoverLatency)
+		}
+
+		// And the viewers must feel it: stalls inside the failover window
+		// drop by the same order of magnitude, against a slow baseline that
+		// demonstrably hurts.
+		if slow.FailoverStallSeconds < failoverMinSlowStall {
+			v.add("slow run stalls only %.2fs inside the failover window; ratio would be vacuous",
+				slow.FailoverStallSeconds)
+		} else if fast.FailoverStallSeconds*failoverStallFactor > slow.FailoverStallSeconds {
+			v.add("failover stall ratio below %.0fx (fast %.2fs, slow %.2fs)",
+				failoverStallFactor, fast.FailoverStallSeconds, slow.FailoverStallSeconds)
+		}
+
+		// The fast path must have gone through the machinery it claims:
+		// BFD detected the failure(s) and the standby cache was primed and
+		// consulted (every down-event is a hit, a stale entry or a miss).
+		if fast.BFDLinkDowns == 0 {
+			v.add("fast run recorded no BFD down events")
+		}
+		if fast.StandbyPrecomputed == 0 {
+			v.add("standby cache never precomputed a plan")
+		}
+		if fast.StandbyHits+fast.StandbyStale+fast.StandbyMisses == 0 {
+			v.add("standby cache never consulted on failure")
+		}
 		return v
 	}
-	if fast.FailoverCommitAt < 0 {
-		fail("fast run never committed a plan after the failure")
-	}
-	if slow.FailoverCommitAt < 0 {
-		fail("slow run never committed a plan after the failure")
-	}
-	if len(v) > 0 {
-		return v
-	}
-
-	// The tentpole ratio: BFD + standby must cut failure-to-commit
-	// latency by an order of magnitude.
-	if fast.FailoverLatency <= 0 {
-		fail("fast failover latency %v is not positive", fast.FailoverLatency)
-	} else if ratio := float64(slow.FailoverLatency) / float64(fast.FailoverLatency); ratio < failoverLatencyFactor {
-		fail("failover latency ratio %.1fx below %.0fx (fast %v, slow %v)",
-			ratio, failoverLatencyFactor, fast.FailoverLatency, slow.FailoverLatency)
-	}
-
-	// And the viewers must feel it: stalls inside the failover window
-	// drop by the same order of magnitude, against a slow baseline that
-	// demonstrably hurts.
-	if slow.FailoverStallSeconds < failoverMinSlowStall {
-		fail("slow run stalls only %.2fs inside the failover window; ratio would be vacuous",
-			slow.FailoverStallSeconds)
-	} else if fast.FailoverStallSeconds*failoverStallFactor > slow.FailoverStallSeconds {
-		fail("failover stall ratio below %.0fx (fast %.2fs, slow %.2fs)",
-			failoverStallFactor, fast.FailoverStallSeconds, slow.FailoverStallSeconds)
-	}
-
-	// The fast path must have gone through the machinery it claims:
-	// BFD detected the failure(s) and the standby cache was primed and
-	// consulted (every down-event is a hit, a stale entry or a miss).
-	if fast.BFDLinkDowns == 0 {
-		fail("fast run recorded no BFD down events")
-	}
-	if fast.StandbyPrecomputed == 0 {
-		fail("standby cache never precomputed a plan")
-	}
-	if fast.StandbyHits+fast.StandbyStale+fast.StandbyMisses == 0 {
-		fail("standby cache never consulted on failure")
-	}
-
-	// Neither run may corrupt the stack.
-	for _, r := range []*Report{fast, slow} {
-		if len(r.ProtocolErrors) > 0 {
-			fail("protocol errors (%s): %v", r.Scenario, r.ProtocolErrors)
-		}
-		if len(r.ControllerErrors) > 0 {
-			fail("controller errors (%s): %v", r.Scenario, r.ControllerErrors)
-		}
-	}
-	return v
 }

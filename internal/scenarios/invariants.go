@@ -2,6 +2,8 @@ package scenarios
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"time"
 
 	"fibbing.net/fibbing/internal/controller"
@@ -36,99 +38,120 @@ const (
 	targetUtilisation = controller.DefaultTargetUtilisation
 )
 
-// MaxStallSeconds checks a single run's total stall time against a
-// budget, returning a violation line when it is exceeded (empty slice
-// means the budget holds). The score-mode cells use it to bound what a
-// QoE-scored run may leave on the table.
-func MaxStallSeconds(r *Report, budget float64) []string {
-	if r.StallSeconds > budget {
-		return []string{fmt.Sprintf("%s: %.2fs of stalls exceed the %.2fs budget",
-			r.Scenario, r.StallSeconds, budget)}
+// violations collects formatted violation lines.
+type violations []string
+
+func (v *violations) add(format string, args ...any) {
+	*v = append(*v, fmt.Sprintf(format, args...))
+}
+
+// igpSaturates checks that the workload actually stresses the network:
+// without the controller (run off) the IGP path saturates, and that run
+// installs no lies.
+func igpSaturates(off string) Invariant {
+	return func(_ Spec, runs Runs) []string {
+		var v violations
+		r := runs[off]
+		if r.SettledUtilisation < saturated {
+			v.add("workload does not stress the IGP path: settled utilisation %.3f without controller",
+				r.SettledUtilisation)
+		}
+		if r.Lies != 0 {
+			v.add("controller-off run installed %d lies", r.Lies)
+		}
+		return v
 	}
-	return nil
+}
+
+// beatsIGP checks the tentpole comparison: the controller-on run beats
+// plain IGP on settled max utilisation or on stall time, and the
+// analytic utilisation of its final routing state approaches the LP
+// optimum for the settled demand (or the controller's own target when
+// the optimum is below it — the controller stops optimising there). The
+// analytic figure is used because the measured one carries per-flow hash
+// noise and saturates at 1.0.
+func beatsIGP(on, off string) Invariant {
+	return func(_ Spec, runs Runs) []string {
+		var v violations
+		rOn, rOff := runs[on], runs[off]
+		utilWin := rOn.SettledUtilisation <= rOff.SettledUtilisation-beatUtilMargin
+		stallWin := rOn.StallSeconds <= rOff.StallSeconds-beatStallMargin
+		if !utilWin && !stallWin {
+			v.add("controller does not beat IGP: settled %.3f vs %.3f, stalls %.1fs vs %.1fs",
+				rOn.SettledUtilisation, rOff.SettledUtilisation, rOn.StallSeconds, rOff.StallSeconds)
+		}
+		if rOn.LPOptimum > 0 {
+			bound := max(rOn.LPOptimum, targetUtilisation)
+			if rOn.AnalyticUtilisation > bound+lpSlack {
+				v.add("analytic utilisation %.3f exceeds LP optimum %.3f (+%.2f slack)",
+					rOn.AnalyticUtilisation, rOn.LPOptimum, lpSlack)
+			}
+		}
+		return v
+	}
+}
+
+// liesOnTarget checks that the named run installed lies, and only on
+// the scenario's target prefix.
+func liesOnTarget(name string) Invariant {
+	return func(_ Spec, runs Runs) []string {
+		var v violations
+		r := runs[name]
+		if r.Lies == 0 {
+			v.add("%s run never installed a lie", name)
+		}
+		for prefix, n := range r.LiesByPrefix {
+			if prefix != r.TargetPrefix && n > 0 {
+				v.add("%d lies touch prefix %q (target %q)", n, prefix, r.TargetPrefix)
+			}
+		}
+		return v
+	}
+}
+
+// settles checks that the named run reacts to the first alarm in time
+// and plays back smoothly once the settle window starts ("no stalls
+// after convergence").
+func settles(name string) Invariant {
+	return func(_ Spec, runs Runs) []string {
+		var v violations
+		r := runs[name]
+		if r.ReactionLatency > maxReactionLatency {
+			v.add("reaction latency %v exceeds %v", r.ReactionLatency, maxReactionLatency)
+		}
+		if r.LateStallSeconds > lateStallBudget {
+			v.add("%.2fs of stalls inside the settle window with the controller on", r.LateStallSeconds)
+		}
+		return v
+	}
 }
 
 // StallNoWorseThan checks the never-worsen admissibility contract in QoE
-// terms: run r's simulated stall time may not exceed the baseline's by
-// more than slack seconds. It returns the violation lines (empty means
-// the contract holds).
-func StallNoWorseThan(r, baseline *Report, slack float64) []string {
-	if r.StallSeconds > baseline.StallSeconds+slack {
-		return []string{fmt.Sprintf("%s: %.2fs of stalls vs %.2fs baseline (%s) exceeds +%.2fs slack",
-			r.Scenario, r.StallSeconds, baseline.StallSeconds, baseline.Scenario, slack)}
+// terms: the named run's simulated stall time may not exceed the
+// baseline run's by more than slack seconds.
+func StallNoWorseThan(name, baseline string, slack float64) Invariant {
+	return func(_ Spec, runs Runs) []string {
+		var v violations
+		r, base := runs[name], runs[baseline]
+		if r.StallSeconds > base.StallSeconds+slack {
+			v.add("%s: %.2fs of stalls vs %.2fs baseline (%s) exceeds +%.2fs slack",
+				r.Scenario, r.StallSeconds, base.StallSeconds, base.Scenario, slack)
+		}
+		return v
 	}
-	return nil
 }
 
-// Violations checks every cross-run invariant of a scenario and returns
-// human-readable violations (empty means the cell holds).
-func Violations(spec Spec, on, off *Report) []string {
-	spec = spec.withDefaults()
-	var v []string
-	fail := func(format string, args ...any) { v = append(v, fmt.Sprintf(format, args...)) }
-
-	// Workload sanity: the schedule must actually stress the network —
-	// without the controller the IGP path saturates.
-	if off.SettledUtilisation < saturated {
-		fail("workload does not stress the IGP path: settled utilisation %.3f without controller",
-			off.SettledUtilisation)
-	}
-	if off.Lies != 0 {
-		fail("controller-off run installed %d lies", off.Lies)
-	}
-
-	// The tentpole comparison: the controller must beat plain IGP on
-	// settled max utilisation or on stall time.
-	utilWin := on.SettledUtilisation <= off.SettledUtilisation-beatUtilMargin
-	stallWin := on.StallSeconds <= off.StallSeconds-beatStallMargin
-	if !utilWin && !stallWin {
-		fail("controller does not beat IGP: settled %.3f vs %.3f, stalls %.1fs vs %.1fs",
-			on.SettledUtilisation, off.SettledUtilisation, on.StallSeconds, off.StallSeconds)
-	}
-
-	// With the controller, the analytic utilisation of the final routing
-	// state must approach the LP optimum for the settled demand (or the
-	// controller's own target when the optimum is below it — the
-	// controller stops optimising there). The analytic figure is used
-	// because the measured one carries per-flow hash noise and saturates
-	// at 1.0.
-	if on.LPOptimum > 0 {
-		bound := on.LPOptimum
-		if bound < targetUtilisation {
-			bound = targetUtilisation
-		}
-		if on.AnalyticUtilisation > bound+lpSlack {
-			fail("analytic utilisation %.3f exceeds LP optimum %.3f (+%.2f slack)",
-				on.AnalyticUtilisation, on.LPOptimum, lpSlack)
-		}
-	}
-
-	// Lies must exist, target only the scenario's prefix, and react fast.
-	if on.Lies == 0 {
-		fail("controller never installed a lie")
-	}
-	for name, n := range on.LiesByPrefix {
-		if name != on.TargetPrefix && n > 0 {
-			fail("%d lies touch prefix %q (target %q)", n, name, on.TargetPrefix)
-		}
-	}
-	if on.ReactionLatency >= 0 && on.ReactionLatency > maxReactionLatency {
-		fail("reaction latency %v exceeds %v", on.ReactionLatency, maxReactionLatency)
-	}
-
-	// No stalls after convergence: once the settle window starts, the
-	// controller-managed network must play back smoothly.
-	if on.LateStallSeconds > lateStallBudget {
-		fail("%.2fs of stalls inside the settle window with the controller on", on.LateStallSeconds)
-	}
-
-	// Neither run may corrupt the protocol machinery.
-	for _, r := range []*Report{on, off} {
+// noErrors checks that no run corrupted the protocol machinery or the
+// controller.
+func noErrors(_ Spec, runs Runs) []string {
+	var v violations
+	for _, name := range slices.Sorted(maps.Keys(runs)) {
+		r := runs[name]
 		if len(r.ProtocolErrors) > 0 {
-			fail("protocol errors (controller=%v): %v", r.Controller, r.ProtocolErrors)
+			v.add("protocol errors (%s): %v", name, r.ProtocolErrors)
 		}
 		if len(r.ControllerErrors) > 0 {
-			fail("controller errors (controller=%v): %v", r.Controller, r.ControllerErrors)
+			v.add("controller errors (%s): %v", name, r.ControllerErrors)
 		}
 	}
 	return v

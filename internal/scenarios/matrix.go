@@ -45,6 +45,26 @@ func MatrixSpecs() []Spec {
 	return specs
 }
 
+// MatrixSuite is the scenario matrix as a comparison: every cell runs
+// with the controller on and off, and must satisfy the cross-run
+// invariants — the workload saturates plain IGP, the controller beats it
+// on settled utilisation or stall time and approaches the LP optimum,
+// lies touch only the target prefix, playback is smooth after
+// convergence, and no protocol machinery errors.
+func MatrixSuite() Suite {
+	return Suite{
+		Specs:    MatrixSpecs(),
+		Variants: []Variant{{Name: "on", Ctrl: true}, {Name: "off"}},
+		Invariants: []Invariant{
+			igpSaturates("off"),
+			beatsIGP("on", "off"),
+			liesOnTarget("on"),
+			settles("on"),
+			noErrors,
+		},
+	}
+}
+
 // SpecByName finds a matrix cell by its derived name (e.g.
 // "ring/ramp+flap"); ok is false when no cell matches.
 func SpecByName(name string) (Spec, bool) {

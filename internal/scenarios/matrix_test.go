@@ -1,38 +1,45 @@
 package scenarios
 
 import (
+	"strings"
 	"testing"
 )
 
-// TestScenarioMatrix sweeps the full cross product (6 topology families x
-// 3 workload/failure schedules): every cell runs the whole Fibbing stack
-// twice — controller on and off — and must satisfy the cross-run
-// invariants: the workload saturates plain IGP, the controller beats it
-// on settled utilisation or stall time, the realised routing approaches
-// the LP optimum, lies touch only the target prefix, playback is smooth
-// after convergence, and no protocol machinery errors.
-func TestScenarioMatrix(t *testing.T) {
-	specs := MatrixSpecs()
-	if len(specs) < 12 {
-		t.Fatalf("matrix has %d cells, want >= 12", len(specs))
-	}
-	for _, spec := range specs {
-		spec := spec
+// checkSuite runs every cell of a suite as a parallel subtest and fails
+// on any invariant violation, rendering the cell when it does.
+func checkSuite(t *testing.T, suite Suite) {
+	for _, spec := range suite.Specs {
 		t.Run(spec.Name, func(t *testing.T) {
 			t.Parallel()
-			cmp, err := Compare(spec)
+			c, err := suite.Compare(spec)
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, v := range cmp.Violations {
+			for _, v := range c.Violations {
 				t.Errorf("invariant violated: %s", v)
 			}
 			if t.Failed() {
-				t.Logf("on:  %s", cmp.On.Summary())
-				t.Logf("off: %s", cmp.Off.Summary())
+				var b strings.Builder
+				suite.Render(&b, c)
+				t.Log("\n" + b.String())
 			}
 		})
 	}
+}
+
+// TestScenarioMatrix sweeps the full cross product (6 topology families x
+// 3 workload/failure schedules): every cell runs the whole Fibbing stack
+// twice — controller on and off — and must satisfy MatrixSuite's
+// cross-run invariants: the workload saturates plain IGP, the controller
+// beats it on settled utilisation or stall time, the realised routing
+// approaches the LP optimum, lies touch only the target prefix, playback
+// is smooth after convergence, and no protocol machinery errors.
+func TestScenarioMatrix(t *testing.T) {
+	suite := MatrixSuite()
+	if len(suite.Specs) < 12 {
+		t.Fatalf("matrix has %d cells, want >= 12", len(suite.Specs))
+	}
+	checkSuite(t, suite)
 }
 
 // TestScenarioRunDeterminism re-runs one cell and requires identical

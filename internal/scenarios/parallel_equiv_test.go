@@ -7,7 +7,6 @@ import (
 	"strings"
 	"testing"
 
-	"fibbing.net/fibbing/internal/controller"
 	"fibbing.net/fibbing/internal/fib"
 	"fibbing.net/fibbing/internal/topo"
 )
@@ -25,29 +24,29 @@ type parallelCapture struct {
 }
 
 // runCaptured runs one cell at the given worker-pool width and snapshots
-// the determinism artifacts. It arms the package test hook, so callers
-// must be serial tests.
+// the determinism artifacts.
 func runCaptured(t *testing.T, spec Spec, workers int) parallelCapture {
 	t.Helper()
 	spec.Workers = workers
-	var (
-		sim   *controller.Sim
-		trace strings.Builder
-	)
-	testHookSimBuilt = func(s *controller.Sim) {
-		sim = s
-		// Chain-wrap the delta callback: record the diff, then forward it
-		// to the data plane as before.
-		prev := s.Domain.OnFIBDelta
-		s.Domain.OnFIBDelta = func(n topo.NodeID, tb *fib.Table, d *fib.Diff) {
-			fmt.Fprintf(&trace, "@%v %s\n", s.Sched.Now(), d)
-			if prev != nil {
-				prev(n, tb, d)
-			}
+	c, err := build(spec, true)
+	if err != nil {
+		t.Fatalf("%s workers=%d: %v", spec.Name, workers, err)
+	}
+	sim, err := c.wire()
+	if err != nil {
+		t.Fatalf("%s workers=%d: %v", spec.Name, workers, err)
+	}
+	// Chain-wrap the delta callback: record the diff, then forward it to
+	// the data plane as before.
+	var trace strings.Builder
+	prev := sim.Domain.OnFIBDelta
+	sim.Domain.OnFIBDelta = func(n topo.NodeID, tb *fib.Table, d *fib.Diff) {
+		fmt.Fprintf(&trace, "@%v %s\n", sim.Sched.Now(), d)
+		if prev != nil {
+			prev(n, tb, d)
 		}
 	}
-	defer func() { testHookSimBuilt = nil }()
-	rep, err := Run(spec, true)
+	rep, err := c.run(sim)
 	if err != nil {
 		t.Fatalf("%s workers=%d: %v", spec.Name, workers, err)
 	}
@@ -113,9 +112,6 @@ func diffLine(a, b string) string {
 // is a spec knob (not GOMAXPROCS), the parallel batch path is exercised
 // even on a single-CPU host, and `go test -race` interleaves the worker
 // goroutines over the shared SPF scratch pools and flood-buffer freelist.
-//
-// Serial on purpose: it arms the package test hook (see
-// TestAggregateReshareMatchesGlobalSolve for the ordering argument).
 func TestParallelCoreDeterminism(t *testing.T) {
 	specs := MatrixSpecs()
 	// A second seed per cell: reseeding shifts the Poisson arrivals and

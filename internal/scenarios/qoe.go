@@ -1,9 +1,6 @@
 package scenarios
 
-import (
-	"fmt"
-	"strings"
-)
+import "fmt"
 
 // The score-mode comparison cells: the same topology and schedule run
 // once per planner scoring objective, checking that QoE-aware scoring
@@ -30,63 +27,9 @@ func QoESpecs() []Spec {
 	return specs
 }
 
-// ScoreModeComparison is the outcome of one spec run under both scoring
-// objectives (plus the no-controller baseline) with the cross-mode
-// invariant violations found between them.
-type ScoreModeComparison struct {
-	Spec Spec    `json:"spec"`
-	Util *Report `json:"util"`
-	QoE  *Report `json:"qoe"`
-	Off  *Report `json:"off"`
-	// Violations is empty when the cell holds.
-	Violations []string `json:"violations,omitempty"`
-}
-
-// Render writes the comparison as an indented human-readable block.
-func (c *ScoreModeComparison) Render(b *strings.Builder) {
-	b.WriteString(c.Spec.Name + "\n")
-	for _, r := range []*Report{c.QoE, c.Util, c.Off} {
-		b.WriteString("  " + r.Summary() + "\n")
-	}
-	for _, r := range []*Report{c.QoE, c.Util} {
-		fmt.Fprintf(b, "    %s: predicted stalls %.1fs\n", r.Scenario, r.PredictedStallSeconds)
-	}
-	for _, v := range c.Violations {
-		b.WriteString("  VIOLATION: " + v + "\n")
-	}
-}
-
-// CompareScoreModes runs one spec three times — controller off,
-// controller on with utilisation scoring, controller on with QoE scoring
-// — and checks the score-mode invariants.
-func CompareScoreModes(spec Spec) (*ScoreModeComparison, error) {
-	spec = spec.withDefaults()
-	withMode := func(mode string) Spec {
-		s := spec
-		s.ScoreMode = mode
-		s.Name = spec.Name + "@" + mode
-		return s
-	}
-	off, err := Run(spec, false)
-	if err != nil {
-		return nil, err
-	}
-	util, err := Run(withMode("util"), true)
-	if err != nil {
-		return nil, err
-	}
-	qoe, err := Run(withMode("qoe"), true)
-	if err != nil {
-		return nil, err
-	}
-	c := &ScoreModeComparison{Spec: spec, Util: util, QoE: qoe, Off: off}
-	c.Violations = ScoreModeViolations(spec, util, qoe, off)
-	return c, nil
-}
-
-// ScoreModeViolations checks the cross-mode invariants of one score-mode
-// comparison cell and returns human-readable violations (empty means the
-// cell holds):
+// QoESuite is the score-mode comparison: each cell runs with QoE
+// scoring, with utilisation scoring and without the controller, and
+// checks the cross-mode invariants:
 //
 //   - the workload must actually stress the network (plain IGP saturates
 //     and installs no lies),
@@ -99,48 +42,52 @@ func CompareScoreModes(spec Spec) (*ScoreModeComparison, error) {
 //     plan lets a link run, viewers must not stall more than under plain
 //     IGP,
 //   - no run may corrupt the protocol machinery.
-func ScoreModeViolations(spec Spec, util, qoe, off *Report) []string {
-	spec = spec.withDefaults()
-	var v []string
-	fail := func(format string, args ...any) { v = append(v, fmt.Sprintf(format, args...)) }
+func QoESuite() Suite {
+	return Suite{
+		Specs: QoESpecs(),
+		Variants: []Variant{
+			{Name: "qoe", Ctrl: true, Edit: withScoreMode("qoe")},
+			{Name: "util", Ctrl: true, Edit: withScoreMode("util")},
+			{Name: "off"},
+		},
+		Invariants: []Invariant{
+			igpSaturates("off"),
+			liesOnTarget("qoe"),
+			qoeBeatsUtil("qoe", "util"),
+			StallNoWorseThan("qoe", "off", 0),
+			noErrors,
+		},
+		Summary: func(r *Report) string {
+			return fmt.Sprintf("%s predicted-stalls=%.1fs", r.Summary(), r.PredictedStallSeconds)
+		},
+	}
+}
 
-	if off.SettledUtilisation < saturated {
-		fail("workload does not stress the IGP path: settled utilisation %.3f without controller",
-			off.SettledUtilisation)
+// withScoreMode returns the spec edit that plans under a scoring
+// objective; the run's name gains an "@mode" suffix.
+func withScoreMode(mode string) func(Spec) Spec {
+	return func(s Spec) Spec {
+		s.ScoreMode = mode
+		s.Name += "@" + mode
+		return s
 	}
-	if off.Lies != 0 {
-		fail("controller-off run installed %d lies", off.Lies)
-	}
-	if qoe.Lies == 0 {
-		fail("qoe-scored run never installed a lie")
-	}
-	for name, n := range qoe.LiesByPrefix {
-		if name != qoe.TargetPrefix && n > 0 {
-			fail("%d lies touch prefix %q (target %q)", n, name, qoe.TargetPrefix)
+}
+
+// qoeBeatsUtil checks the tentpole comparison on both the simulated and
+// the predicted figure: QoE scoring must buy strictly fewer stalled
+// seconds than utilisation scoring.
+func qoeBeatsUtil(qoeName, utilName string) Invariant {
+	return func(_ Spec, runs Runs) []string {
+		var v violations
+		qoe, util := runs[qoeName], runs[utilName]
+		if qoe.StallSeconds > util.StallSeconds-beatStallMargin {
+			v.add("qoe scoring does not beat util scoring on simulated stalls: %.1fs vs %.1fs (margin %.1fs)",
+				qoe.StallSeconds, util.StallSeconds, beatStallMargin)
 		}
-	}
-
-	// The tentpole comparison, on both the simulated and the predicted
-	// figure: QoE scoring must buy strictly fewer stalled seconds.
-	if qoe.StallSeconds > util.StallSeconds-beatStallMargin {
-		fail("qoe scoring does not beat util scoring on simulated stalls: %.1fs vs %.1fs (margin %.1fs)",
-			qoe.StallSeconds, util.StallSeconds, beatStallMargin)
-	}
-	if qoe.PredictedStallSeconds >= util.PredictedStallSeconds {
-		fail("qoe scoring does not beat util scoring on predicted stalls: %.1fs vs %.1fs",
-			qoe.PredictedStallSeconds, util.PredictedStallSeconds)
-	}
-
-	// Never-worsen in QoE terms, against the plain-IGP baseline.
-	v = append(v, StallNoWorseThan(qoe, off, 0)...)
-
-	for _, r := range []*Report{util, qoe, off} {
-		if len(r.ProtocolErrors) > 0 {
-			fail("protocol errors (%s): %v", r.Scenario, r.ProtocolErrors)
+		if qoe.PredictedStallSeconds >= util.PredictedStallSeconds {
+			v.add("qoe scoring does not beat util scoring on predicted stalls: %.1fs vs %.1fs",
+				qoe.PredictedStallSeconds, util.PredictedStallSeconds)
 		}
-		if len(r.ControllerErrors) > 0 {
-			fail("controller errors (%s): %v", r.Scenario, r.ControllerErrors)
-		}
+		return v
 	}
-	return v
 }

@@ -1,7 +1,7 @@
 package scenarios
 
 import (
-	"strings"
+	"slices"
 	"testing"
 )
 
@@ -12,23 +12,11 @@ import (
 // more than plain IGP (the admissibility contract restated in QoE
 // terms). Cells run in parallel; each is three full simulations.
 func TestScoreModeComparison(t *testing.T) {
-	for _, spec := range QoESpecs() {
-		spec := spec
-		if spec.Viewers >= 100_000 && testing.Short() {
-			continue // ~the most expensive cell; -short keeps quick loops quick
-		}
-		t.Run(spec.Name, func(t *testing.T) {
-			t.Parallel()
-			c, err := CompareScoreModes(spec)
-			if err != nil {
-				t.Fatal(err)
-			}
-			var b strings.Builder
-			c.Render(&b)
-			t.Log("\n" + b.String())
-			for _, v := range c.Violations {
-				t.Errorf("violation: %s", v)
-			}
-		})
+	suite := QoESuite()
+	if testing.Short() {
+		// The 100k-viewer cell is the most expensive; -short keeps quick
+		// loops quick.
+		suite.Specs = slices.DeleteFunc(suite.Specs, func(s Spec) bool { return s.Viewers >= 100_000 })
 	}
+	checkSuite(t, suite)
 }

@@ -27,7 +27,7 @@ type Report struct {
 	// the only prefix lies may touch).
 	TargetPrefix string `json:"target_prefix"`
 	// ScoreMode is the planner's plan-scoring objective the run used
-	// ("util", "qoe" or "blended"; see controller.ScoreMode).
+	// ("util" or "qoe"; see controller.ScoreMode).
 	ScoreMode string `json:"score_mode,omitempty"`
 
 	// Utilisation. The fluid data plane caps link rates at capacity, so
@@ -68,16 +68,16 @@ type Report struct {
 	// Strategies is the registered reaction-strategy set; StrategyWins
 	// counts committed plans per winning strategy (each Decision also
 	// carries its winner's name).
-	Strategies      []string              `json:"strategies,omitempty"`
-	StrategyWins    map[string]int        `json:"strategy_wins,omitempty"`
+	Strategies   []string       `json:"strategies,omitempty"`
+	StrategyWins map[string]int `json:"strategy_wins,omitempty"`
 	// StrategyPerf is the planner's per-strategy telemetry: proposals,
 	// wins, and cumulative Propose wall-time. Nanos is real time, so the
 	// determinism harness scrubs it alongside Workers before comparing.
-	StrategyPerf map[string]controller.StrategyPerf `json:"strategy_perf,omitempty"`
-	Decisions       []controller.Decision `json:"decisions,omitempty"`
-	FirstHotAt      time.Duration         `json:"first_hot_at"`      // first sample >= alarm threshold; -1 if never
-	FirstReactionAt time.Duration         `json:"first_reaction_at"` // first decision; -1 if none
-	ReactionLatency time.Duration         `json:"reaction_latency"`  // FirstReactionAt - FirstHotAt; -1 if n/a
+	StrategyPerf    map[string]controller.StrategyPerf `json:"strategy_perf,omitempty"`
+	Decisions       []controller.Decision              `json:"decisions,omitempty"`
+	FirstHotAt      time.Duration                      `json:"first_hot_at"`      // first sample >= alarm threshold; -1 if never
+	FirstReactionAt time.Duration                      `json:"first_reaction_at"` // first decision; -1 if none
+	ReactionLatency time.Duration                      `json:"reaction_latency"`  // FirstReactionAt - FirstHotAt; -1 if n/a
 
 	// Simulation cost telemetry: scheduler events executed, the SPF
 	// strategy split, and the reshare strategy split, so scaling runs
@@ -103,13 +103,13 @@ type Report struct {
 	// computed once and concurrent lookups of it count hits — so it is
 	// compared across worker widths) and the warm-started LP solver's
 	// warm/cold/fallback solve counts.
-	PlanCacheHits    uint64 `json:"plan_cache_hits,omitempty"`
-	PlanCacheMisses  uint64 `json:"plan_cache_misses,omitempty"`
+	PlanCacheHits   uint64 `json:"plan_cache_hits,omitempty"`
+	PlanCacheMisses uint64 `json:"plan_cache_misses,omitempty"`
 	// QoECacheHits/Misses split the artifact cache's memoised QoE
-	// predictions (populated only when a QoE-aware score mode runs);
+	// predictions (populated only when the qoe score mode runs);
 	// in-flight accounting keeps them worker-width deterministic too.
-	QoECacheHits   uint64 `json:"qoe_cache_hits,omitempty"`
-	QoECacheMisses uint64 `json:"qoe_cache_misses,omitempty"`
+	QoECacheHits     uint64 `json:"qoe_cache_hits,omitempty"`
+	QoECacheMisses   uint64 `json:"qoe_cache_misses,omitempty"`
 	LPWarmSolves     uint64 `json:"lp_warm_solves,omitempty"`
 	LPColdSolves     uint64 `json:"lp_cold_solves,omitempty"`
 	LPFallbackSolves uint64 `json:"lp_fallback_solves,omitempty"`
@@ -180,23 +180,6 @@ func (r *Report) Summary() string {
 		s += " wins=" + strings.Join(parts, ",")
 	}
 	return s
-}
-
-// Comparison pairs the controller-on and controller-off runs of one spec
-// with the invariant violations found between them.
-type Comparison struct {
-	Spec       Spec     `json:"spec"`
-	On         *Report  `json:"on"`
-	Off        *Report  `json:"off"`
-	Violations []string `json:"violations,omitempty"`
-}
-
-// Render writes the comparison as an indented human-readable block.
-func (c *Comparison) Render(b *strings.Builder) {
-	fmt.Fprintf(b, "%s\n  %s\n  %s\n", c.Spec.Name, c.On.Summary(), c.Off.Summary())
-	for _, v := range c.Violations {
-		fmt.Fprintf(b, "  VIOLATION: %s\n", v)
-	}
 }
 
 // RenderCacheStats writes the planner amortisation telemetry — the

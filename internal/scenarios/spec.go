@@ -9,9 +9,11 @@
 // A Spec names a topology family from the zoo (Fig1, Abilene, fat-tree,
 // ring, grid, Waxman, random), a workload (surge, flash crowd, ramp), an
 // optional link-failure schedule and a duration; Run executes it with or
-// without the controller and produces a Report. RunPair runs both and
-// Violations compares them. MatrixSpecs is the cross product the matrix
-// test and cmd/fiblab sweep.
+// without the controller and produces a Report. A Suite turns specs into
+// comparisons: Compare runs a spec once per Variant (controller on/off,
+// BFD/SNMP failure detection, QoE/utilisation scoring) and checks the
+// suite's Invariants over the runs together. MatrixSuite, FailoverSuite
+// and QoESuite are the three comparisons the tests and cmd/fiblab run.
 package scenarios
 
 import (
@@ -177,8 +179,8 @@ type Spec struct {
 	Strategies []string `json:"strategies,omitempty"`
 	// ScoreMode selects the planner's plan-scoring objective: "util"
 	// (default — the historical max-utilisation ordering), "qoe"
-	// (predicted stall score first, utilisation as tie-break) or
-	// "blended". Parsed with controller.ParseScoreMode.
+	// (predicted stall score first, utilisation as tie-break). Parsed
+	// with controller.ParseScoreMode.
 	ScoreMode string `json:"score_mode,omitempty"`
 	// Workers sets the simulation core's worker-pool width: 0 means
 	// GOMAXPROCS, 1 forces the sequential core. The run's outcome is
